@@ -44,6 +44,49 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
 
 
+class UsageError(Exception):
+    """Malformed command-line input, reported on one line with exit code 64."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+        if np.isfinite(value) and value > 0.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+
+
+def _ode_steps(text: str) -> int:
+    steps = _int_at_least(1)(text)
+    try:
+        IntegrationConfig(steps_per_period=steps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return steps
+
+
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
@@ -56,19 +99,21 @@ def _common_flags(sub: argparse.ArgumentParser, model_required: bool = True) -> 
     if model_required:
         sub.add_argument("--model", required=True, help="model description JSON")
     sub.add_argument("--out", default=None, help="output path")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--grid", type=int, default=None, help="grid resolution m")
-    sub.add_argument("--samples", type=int, default=10_000)
-    sub.add_argument("--max-iter", type=int, default=5_000)
+    sub.add_argument("--seed", type=_int_at_least(0), default=42)
+    sub.add_argument("--tol", type=_positive_float, default=1e-10)
+    sub.add_argument(
+        "--grid", type=_int_at_least(1), default=None, help="grid resolution m"
+    )
+    sub.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    sub.add_argument("--max-iter", type=_int_at_least(1), default=5_000)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument(
-        "--ode-steps", type=int, default=256, help="RK4 steps per period"
+        "--ode-steps", type=_ode_steps, default=256, help="RK4 steps per period"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carrysim",
         description="Carrying-simplex criteria, computation and simulation "
         "for competitive population maps.",
@@ -89,37 +134,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="iterate the map or integrate the flow")
     _common_flags(p_sim)
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    p_sim.add_argument("--steps", type=int, default=100)
+    p_sim.add_argument("--steps", type=_int_at_least(1), default=100)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep1d", help="classify the scalar map over a b range")
     _common_flags(p_sweep, model_required=False)
-    p_sweep.add_argument("--a", type=float, default=1.0)
-    p_sweep.add_argument("--b-min", type=float, required=True)
-    p_sweep.add_argument("--b-max", type=float, required=True)
-    p_sweep.add_argument("--b-count", type=int, default=100)
-    p_sweep.add_argument("--steps", type=int, default=1_000)
-    p_sweep.add_argument("--burn-in", type=int, default=None)
-    p_sweep.add_argument("--record", type=int, default=128)
+    p_sweep.add_argument("--a", type=_positive_float, default=1.0)
+    p_sweep.add_argument("--b-min", type=_positive_float, required=True)
+    p_sweep.add_argument("--b-max", type=_positive_float, required=True)
+    p_sweep.add_argument("--b-count", type=_int_at_least(1), default=100)
+    p_sweep.add_argument("--steps", type=_int_at_least(1), default=1_000)
+    p_sweep.add_argument("--burn-in", type=_int_at_least(0), default=None)
+    p_sweep.add_argument("--record", type=_int_at_least(1), default=128)
     p_sweep.set_defaults(func=cmd_sweep1d)
 
     p_wj = sub.add_parser(
         "wangjiang", help="ratio monotonicity of ordered solution pairs"
     )
     _common_flags(p_wj)
-    p_wj.add_argument("--pairs", type=int, default=20)
-    p_wj.add_argument("--t-span", type=float, default=3.0)
+    p_wj.add_argument("--pairs", type=_int_at_least(1), default=20)
+    p_wj.add_argument("--t-span", type=_positive_float, default=3.0)
     p_wj.set_defaults(func=cmd_wangjiang)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ModelFileError, ModelParameterError) as exc:
+    except (UsageError, ModelFileError, ModelParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SurfaceDegeneracyError as exc:
@@ -181,6 +225,8 @@ def cmd_simplex(args) -> int:
     loaded = load_model_file(args.model)
     config = IntegrationConfig(steps_per_period=args.ode_steps)
     model = loaded.map_model(config)
+    if model.n > 1 and args.grid is not None and args.grid < 2:
+        raise UsageError(f"--grid must be >= 2 for a surface of {model.n} species")
 
     if not args.force:
         conditions = _collect_conditions(loaded, args)
@@ -225,6 +271,8 @@ def cmd_simplex(args) -> int:
         if not surface.converged:
             print("surface did NOT converge; results are best-effort", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
+        if not (verification.unordered.ok and verification.asymptotic.passed):
+            return EXIT_FAIL
         return EXIT_OK
 
     cloud = compute_attractor_cloud(
@@ -241,18 +289,21 @@ def cmd_simplex(args) -> int:
     }
     _write_json(meta, meta_path)
     print(f"point cloud written to {out} ({cloud.shape[0]} points)")
-    return EXIT_OK
+    print(f"unordered: {'pass' if unordered.ok else 'FAIL'}")
+    return EXIT_OK if unordered.ok else EXIT_FAIL
 
 
 def _parse_x0(text: str, n: int) -> np.ndarray:
     try:
         values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise ModelFileError(f"cannot parse --x0 {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse --x0 {text!r}: {exc}") from exc
     if values.size != n:
-        raise ModelFileError(f"--x0 must have {n} coordinates, got {values.size}")
+        raise UsageError(f"--x0 must have {n} coordinates, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError("--x0 coordinates must be finite")
     if np.any(values < 0):
-        raise ModelFileError("--x0 coordinates must be nonnegative")
+        raise UsageError("--x0 coordinates must be nonnegative")
     return values
 
 
@@ -283,6 +334,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep1d(args) -> int:
+    if args.b_max < args.b_min:
+        raise UsageError("--b-max must be >= --b-min")
+    if args.burn_in is not None and args.burn_in >= args.steps:
+        raise UsageError("--burn-in must be < --steps")
     results = sweep_1d(
         args.a,
         args.b_min,

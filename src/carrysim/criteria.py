@@ -272,6 +272,20 @@ def _grid_points(q: np.ndarray, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _support_groups(pts: np.ndarray):
+    """Yield (support, rows) for every distinct nonempty support among the rows.
+
+    ``support`` holds the nonzero coordinates, ``rows`` the row indices that
+    share them, so principal submatrices can be taken one stack per pattern.
+    """
+    patterns, inverse = np.unique(pts != 0.0, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    for k, pattern in enumerate(patterns):
+        support = np.flatnonzero(pattern)
+        if support.size:
+            yield support, np.flatnonzero(inverse == k)
+
+
 # ---------------------------------------------------------------------------
 # condition checkers
 # ---------------------------------------------------------------------------
@@ -468,35 +482,52 @@ def check_axial(
     model: CompetitionModel, steps: int = 1_000, tol: float = 1e-8
 ) -> ConditionResult:
     """Axial fixed points exist, satisfy T(q_i e_i) = q_i e_i, and attract
-    on their axis (checked from 0.1 q_i and 2 q_i)."""
+    on their axis (checked from 0.1 q_i and 2 q_i).
+
+    All 2n axis starts iterate as one batch; a row stops updating once it
+    is within ``tol`` of q_i.  A fail reports the first failing (i, start)
+    pair in the order i = 1..n, 0.1 q_i before 2 q_i.
+    """
     try:
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError) as exc:
         return ConditionResult("C4", "fail", witness=str(exc), note="no axial fixed point")
 
-    worst_gap = 0.0
-    for i in range(model.n):
-        for start in (0.1 * q[i], 2.0 * q[i]):
-            x = start
-            point = np.zeros(model.n)
-            for _ in range(steps):
-                point[i] = x
-                x = float(model.step(point)[i])
-                if abs(x - q[i]) < tol:
-                    break
-            gap = abs(x - q[i])
-            worst_gap = max(worst_gap, gap)
-            if gap >= tol:
-                return ConditionResult(
-                    "C4",
-                    "fail",
-                    worst=gap,
-                    witness={"i": i + 1, "start": float(start), "final": x, "q_i": float(q[i])},
-                    samples=steps,
-                    note="axis trajectory did not converge to the axial fixed point",
-                )
+    axis = np.repeat(np.arange(model.n), 2)
+    starts = np.column_stack([0.1 * q, 2.0 * q]).ravel()
+    x = starts.copy()
+    active = np.ones(x.size, dtype=bool)
+    for _ in range(steps):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        x[rows] = model.axis_step(axis[rows], x[rows])
+        active[rows] = ~(np.abs(x[rows] - q[axis[rows]]) < tol)
+
+    gaps = np.abs(x - q[axis])
+    failing = np.flatnonzero(gaps >= tol)
+    if failing.size:
+        k = int(failing[0])
+        i = int(axis[k])
+        return ConditionResult(
+            "C4",
+            "fail",
+            worst=float(gaps[k]),
+            witness={
+                "i": i + 1,
+                "start": float(starts[k]),
+                "final": float(x[k]),
+                "q_i": float(q[i]),
+            },
+            samples=steps,
+            note="axis trajectory did not converge to the axial fixed point",
+        )
     return ConditionResult(
-        "C4", "pass_sampled", worst=worst_gap, witness={"q": q}, samples=2 * model.n * steps
+        "C4",
+        "pass_sampled",
+        worst=float(np.fmax.reduce(gaps, initial=0.0)),
+        witness={"q": q},
+        samples=2 * model.n * steps,
     )
 
 
@@ -506,33 +537,37 @@ def check_c5(
     samples: int = 10_000,
     seed: int = 42,
 ) -> ConditionResult:
-    """Strictly negative growth Jacobian on the support of every sampled point."""
+    """Strictly negative growth Jacobian on the support of every sampled point.
+
+    The Jacobian is evaluated once on the whole sample; the largest entry of
+    each support block is taken one stack per support pattern.  Points with
+    an empty support are vacuous.
+    """
     rng = np.random.default_rng(seed)
     if region is None:
         region = default_region(model.verified_axial_fixed_points())
     pts = _region_samples(region, samples, rng, include_origin=True)
     jac = model.growth_jacobian(pts)
 
+    entries = np.full(pts.shape[0], -np.inf)
+    for support, rows in _support_groups(pts):
+        entries[rows] = jac[np.ix_(rows, support, support)].max(axis=(1, 2))
+    # the first largest entry is the worst; a NaN entry never is
+    k = int(np.argmax(np.where(np.isnan(entries), -np.inf, entries)))
     worst = -np.inf
     worst_witness = None
-    near_ties = 0
-    for k in range(pts.shape[0]):
-        idx = np.flatnonzero(pts[k] != 0.0)
-        if idx.size == 0:
-            continue  # empty support: vacuous
-        sub = jac[k][np.ix_(idx, idx)]
-        entry = float(sub.max())
-        if entry > worst:
-            worst = entry
-            i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            worst_witness = {
-                "x": pts[k],
-                "i": int(idx[i_loc]) + 1,
-                "j": int(idx[j_loc]) + 1,
-                "value": entry,
-            }
-        if -STRICT_TIE_MARGIN < entry < 0.0:
-            near_ties += 1
+    if entries[k] > worst:
+        worst = float(entries[k])
+        support = np.flatnonzero(pts[k] != 0.0)
+        sub = jac[k][np.ix_(support, support)]
+        i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        worst_witness = {
+            "x": pts[k],
+            "i": int(support[i_loc]) + 1,
+            "j": int(support[j_loc]) + 1,
+            "value": worst,
+        }
+    near_ties = int(np.count_nonzero((-STRICT_TIE_MARGIN < entries) & (entries < 0.0)))
     note = f"near-ties (> -{STRICT_TIE_MARGIN:g}): {near_ties}" if near_ties else ""
     verdict = "pass_sampled" if worst < 0.0 else "fail"
     return ConditionResult(
@@ -547,36 +582,54 @@ def check_c5(
 
 
 def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult:
-    """[T'(x)] restricted to the support of x has an entrywise-positive inverse."""
-    worst = np.inf
-    worst_witness = None
-    count = 0
-    for x in points:
-        x = as_state(x, model.n)
-        idx = np.flatnonzero(x != 0.0)
-        if idx.size == 0:
-            continue
-        count += 1
-        sub = model.step_jacobian(x)[np.ix_(idx, idx)]
-        try:
-            inv = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
+    """[T'(x)] restricted to the support of x has an entrywise-positive inverse.
+
+    T' is evaluated once on all points with a nonempty support, and the
+    principal submatrices are inverted one stack per support pattern.  A
+    submatrix with zero determinant counts as singular.  The result is that
+    of a scan in input order: it stops at the first failing point, and
+    ``samples`` counts the points with a nonempty support up to it.
+    """
+    pts = np.array([as_state(x, model.n) for x in points], dtype=float).reshape(-1, model.n)
+    pts = pts[np.any(pts != 0.0, axis=1)]
+    jac = model.step_jacobian(pts)
+
+    entries = np.full(pts.shape[0], np.nan)
+    singular = np.zeros(pts.shape[0], dtype=bool)
+    for support, rows in _support_groups(pts):
+        sub = jac[np.ix_(rows, support, support)]
+        zero_det = np.linalg.det(sub) == 0.0
+        singular[rows[zero_det]] = True
+        entries[rows[~zero_det]] = np.linalg.inv(sub[~zero_det]).min(axis=(1, 2))
+
+    failing = np.flatnonzero(singular | (entries <= 0.0))
+    if failing.size:
+        k = int(failing[0])
+        if singular[k]:
             return ConditionResult(
                 "InvPos",
                 "fail",
-                witness={"x": x, "reason": "singular principal submatrix"},
-                samples=count,
+                witness={"x": pts[k], "reason": "singular principal submatrix"},
+                samples=k + 1,
             )
-        entry = float(inv.min())
-        if entry < worst:
-            worst = entry
-            worst_witness = {"x": x, "min_inverse_entry": entry}
-        if entry <= 0.0:
-            return ConditionResult(
-                "InvPos", "fail", worst=entry, witness=worst_witness, samples=count
-            )
+        entry = float(entries[k])
+        return ConditionResult(
+            "InvPos",
+            "fail",
+            worst=entry,
+            witness={"x": pts[k], "min_inverse_entry": entry},
+            samples=k + 1,
+        )
+    worst = np.inf
+    worst_witness = None
+    if pts.shape[0]:
+        # the first smallest entry is the worst; a NaN entry never is
+        k = int(np.argmin(np.where(np.isnan(entries), np.inf, entries)))
+        if entries[k] < worst:
+            worst = float(entries[k])
+            worst_witness = {"x": pts[k], "min_inverse_entry": worst}
     return ConditionResult(
-        "InvPos", "pass_sampled", worst=worst, witness=worst_witness, samples=count
+        "InvPos", "pass_sampled", worst=worst, witness=worst_witness, samples=pts.shape[0]
     )
 
 
@@ -589,11 +642,12 @@ def check_spectral_grid(
 
     Evaluates rho(M(x)) on a regular grid (origin excluded by one grid
     step), optionally refines at 4x density around the argmax, and labels
-    the verdict as sampled.
+    the verdict as sampled.  M is evaluated in one batch per grid; the
+    spectral radius is taken matrix by matrix.
     """
     q = model.verified_axial_fixed_points()
     pts = _grid_points(q, grid_resolution)
-    rhos = np.array([spectral_radius(competition_matrix(model, x)) for x in pts])
+    rhos = np.array([spectral_radius(M) for M in competition_matrix(model, pts)])
     worst_idx = int(np.argmax(rhos))
     worst = float(rhos[worst_idx])
     witness = pts[worst_idx]
@@ -609,7 +663,7 @@ def check_spectral_grid(
         mesh = np.meshgrid(*axes, indexing="ij")
         refined = np.stack([m.ravel() for m in mesh], axis=-1)
         rhos_ref = np.array(
-            [spectral_radius(competition_matrix(model, x)) for x in refined]
+            [spectral_radius(M) for M in competition_matrix(model, refined)]
         )
         total += int(refined.shape[0])
         k = int(np.argmax(rhos_ref))
@@ -782,12 +836,9 @@ def run_criteria(
             guarded("Eq4", lambda: check_spectral_grid(model, grid_resolution, refine))
         )
         rng = np.random.default_rng(seed)
-        probe = list(rng.random((inverse_positivity_points, model.n)) * q)
-        probe.append(q.copy())
-        for i in range(model.n):
-            axis_pt = np.zeros(model.n)
-            axis_pt[i] = q[i]
-            probe.append(axis_pt)
+        probe = np.vstack(
+            [rng.random((inverse_positivity_points, model.n)) * q, q, np.diag(q)]
+        )
         inv = guarded("InvPos", lambda: check_inverse_positivity(model, probe))
         inv.seed = seed
         conditions.append(inv)

@@ -70,6 +70,13 @@ class CompetitionModel:
             )
         return x * g
 
+    def axis_step(self, axis, values) -> np.ndarray:
+        """Coordinate axis[k] of T(values[k] e_axis[k]) for every k, in one batch."""
+        rows = np.arange(len(axis))
+        points = np.zeros((rows.size, self.n))
+        points[rows, axis] = values
+        return self.step(points)[rows, axis]
+
     def step_jacobian(self, x) -> np.ndarray:
         """T'(x) = diag(G(x)) + diag(x) G'(x), shape (..., n, n)."""
         x = _check_batch(x, self.n)
@@ -78,18 +85,27 @@ class CompetitionModel:
         return _diag_embed(g) + x[..., :, None] * gp
 
     def verified_axial_fixed_points(self, tol: float = 1e-10) -> np.ndarray:
-        """q, with the fixed-point property re-checked on each axis."""
-        q = self.axial_fixed_points()
-        for i in range(self.n):
-            point = np.zeros(self.n)
-            point[i] = q[i]
-            residual = abs(self.step(point)[i] - q[i])
-            if residual > tol * max(1.0, q[i]):
-                raise ModelEvaluationError(
-                    f"axial fixed point q_{i + 1} fails T(q e_i) = q e_i "
-                    f"(residual {residual:.3e})",
-                    index=i + 1,
-                )
+        """q, with T(q_i e_i) = q_i e_i re-checked on every axis in one n-row step.
+
+        The verified q is cached on the instance for its ``tol``, so every
+        checker that needs q shares one verification.  The returned array is
+        read-only because all those callers share it.
+        """
+        cached = getattr(self, "_verified_q", None)
+        if cached is not None and cached[0] == tol:
+            return cached[1]
+        q = as_state(self.axial_fixed_points(), self.n).copy()
+        residual = np.abs(self.axis_step(np.arange(self.n), q) - q)
+        bad = np.flatnonzero(residual > tol * np.maximum(1.0, q))
+        if bad.size:
+            i = int(bad[0])
+            raise ModelEvaluationError(
+                f"axial fixed point q_{i + 1} fails T(q e_i) = q e_i "
+                f"(residual {residual[i]:.3e})",
+                index=i + 1,
+            )
+        q.setflags(write=False)
+        self._verified_q = (tol, q)
         return q
 
 
@@ -99,19 +115,19 @@ def _diag_embed(g: np.ndarray) -> np.ndarray:
 
 
 def finite_difference_growth_jacobian(model: CompetitionModel, x) -> np.ndarray:
-    """Central finite differences of G, step 1e-6 * (1 + |x_j|)."""
+    """Central finite differences of G, step 1e-6 * (1 + |x_j|).
+
+    The 2n perturbed copies of the whole batch go to ``growth`` in one call.
+    """
     x = _check_batch(x, model.n)
     squeeze = x.ndim == 1
     pts = np.atleast_2d(x)
-    n = model.n
-    jac = np.empty((pts.shape[0], n, n))
-    for j in range(n):
-        h = 1e-6 * (1.0 + np.abs(pts[:, j]))
-        up = pts.copy()
-        dn = pts.copy()
-        up[:, j] += h
-        dn[:, j] -= h
-        jac[:, :, j] = (model.growth(up) - model.growth(dn)) / (2.0 * h)[:, None]
+    N, n = pts.shape
+    h = 1e-6 * (1.0 + np.abs(pts))
+    offsets = np.eye(n)[:, None, :] * h  # copy j moves coordinate j by h_j
+    shifted = np.concatenate([pts + offsets, pts - offsets]).reshape(2 * n * N, n)
+    up, dn = model.growth(shifted).reshape(2, n, N, n)
+    jac = np.moveaxis((up - dn) / (2.0 * h.T)[:, :, None], 0, -1)
     return jac[0] if squeeze else jac
 
 

@@ -234,33 +234,39 @@ class PoincareMapModel(CompetitionModel):
     def axial_fixed_points(
         self, tol: float = 1e-13, max_iter: int = 10_000
     ) -> np.ndarray:
+        """Iterate the map on every axis, all n species as one batch.
+
+        A row stops updating once it has converged or left (0, 1e12].
+        """
         if self._q is not None:
             return self._q
-        q = np.empty(self.n)
-        for i in range(self.n):
+        n = self.n
+        r = np.ones(n)
+        for i in range(n):
             b0 = self.system.B[i].const
             a0 = self.system.A[i][i].const
-            r = b0 / a0 if (b0 > 0 and a0 > 0) else 1.0
-            point = np.zeros(self.n)
-            converged = False
-            for _ in range(max_iter):
-                point[i] = r
-                r_new = float(self.step(point)[i])
-                if not np.isfinite(r_new) or r_new > 1e12:
-                    break
-                if abs(r_new - r) < tol * max(1.0, r_new):
-                    r = r_new
-                    converged = True
-                    break
-                r = r_new
-            if not converged or r < 1e-12:
-                raise ModelParameterError(
-                    f"no axial fixed point for species {i + 1}: axis iteration "
-                    f"did not converge to a positive value"
-                )
-            q[i] = r
-        self._q = q
-        return q
+            if b0 > 0 and a0 > 0:
+                r[i] = b0 / a0
+        active = np.ones(n, dtype=bool)
+        converged = np.zeros(n, dtype=bool)
+        for _ in range(max_iter):
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            r_new = self.axis_step(rows, r[rows])
+            escaped = ~np.isfinite(r_new) | (r_new > 1e12)
+            settled = ~escaped & (np.abs(r_new - r[rows]) < tol * np.maximum(1.0, r_new))
+            r[rows[~escaped]] = r_new[~escaped]
+            converged[rows[settled]] = True
+            active[rows[escaped | settled]] = False
+        failed = np.flatnonzero(~converged | (r < 1e-12))
+        if failed.size:
+            raise ModelParameterError(
+                f"no axial fixed point for species {failed[0] + 1}: axis iteration "
+                f"did not converge to a positive value"
+            )
+        self._q = r
+        return r
 
 
 def poincare_map(

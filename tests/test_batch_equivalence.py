@@ -1,0 +1,369 @@
+"""The batched checkers against the point-by-point loops they replaced.
+
+Each ``reference_*`` function below is the earlier per-point implementation,
+kept here as the oracle.  Closed-form models and axis iterations use the same
+arithmetic in both forms and must agree exactly.  Where a period map is
+differentiated by finite differences, a batch may round a growth factor
+differently in the last bit; the 1e-6 step magnifies that about 1e6 times, so
+those values are compared to 1e-9 relative.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from carrysim.cone import as_state
+from carrysim.criteria import (
+    ConditionResult,
+    _grid_points,
+    _region_samples,
+    check_axial,
+    check_c5,
+    check_inverse_positivity,
+    check_spectral_grid,
+    competition_matrix,
+    default_region,
+    spectral_radius,
+)
+from carrysim.modelio import load_model_file
+from carrysim.models import MayOsterModel, ModelParameterError
+from carrysim.periodic import IntegrationConfig
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+FD_REL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def periodic64():
+    return load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+# ---------------------------------------------------------------------------
+
+
+def reference_inverse_positivity(model, points):
+    worst = np.inf
+    worst_witness = None
+    count = 0
+    for x in points:
+        x = as_state(x, model.n)
+        idx = np.flatnonzero(x != 0.0)
+        if idx.size == 0:
+            continue
+        count += 1
+        sub = model.step_jacobian(x)[np.ix_(idx, idx)]
+        try:
+            inv = np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            return ConditionResult(
+                "InvPos",
+                "fail",
+                witness={"x": x, "reason": "singular principal submatrix"},
+                samples=count,
+            )
+        entry = float(inv.min())
+        if entry < worst:
+            worst = entry
+            worst_witness = {"x": x, "min_inverse_entry": entry}
+        if entry <= 0.0:
+            return ConditionResult(
+                "InvPos", "fail", worst=entry, witness=worst_witness, samples=count
+            )
+    return ConditionResult(
+        "InvPos", "pass_sampled", worst=worst, witness=worst_witness, samples=count
+    )
+
+
+def reference_axial(model, steps=1_000, tol=1e-8):
+    q = model.verified_axial_fixed_points()
+    worst_gap = 0.0
+    for i in range(model.n):
+        for start in (0.1 * q[i], 2.0 * q[i]):
+            x = start
+            point = np.zeros(model.n)
+            for _ in range(steps):
+                point[i] = x
+                x = float(model.step(point)[i])
+                if abs(x - q[i]) < tol:
+                    break
+            gap = abs(x - q[i])
+            worst_gap = max(worst_gap, gap)
+            if gap >= tol:
+                return ConditionResult(
+                    "C4",
+                    "fail",
+                    worst=gap,
+                    witness={"i": i + 1, "start": float(start), "final": x, "q_i": float(q[i])},
+                    samples=steps,
+                    note="axis trajectory did not converge to the axial fixed point",
+                )
+    return ConditionResult(
+        "C4", "pass_sampled", worst=worst_gap, witness={"q": q}, samples=2 * model.n * steps
+    )
+
+
+def reference_c5(model, samples=10_000, seed=42):
+    rng = np.random.default_rng(seed)
+    region = default_region(model.verified_axial_fixed_points())
+    pts = _region_samples(region, samples, rng, include_origin=True)
+    jac = model.growth_jacobian(pts)
+    worst = -np.inf
+    worst_witness = None
+    near_ties = 0
+    for k in range(pts.shape[0]):
+        idx = np.flatnonzero(pts[k] != 0.0)
+        if idx.size == 0:
+            continue
+        sub = jac[k][np.ix_(idx, idx)]
+        entry = float(sub.max())
+        if entry > worst:
+            worst = entry
+            i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
+            worst_witness = {
+                "x": pts[k],
+                "i": int(idx[i_loc]) + 1,
+                "j": int(idx[j_loc]) + 1,
+                "value": entry,
+            }
+        if -1e-12 < entry < 0.0:
+            near_ties += 1
+    return worst, worst_witness, near_ties
+
+
+def reference_spectral_grid(model, grid_resolution=16, refine=True):
+    q = model.verified_axial_fixed_points()
+    pts = _grid_points(q, grid_resolution)
+    rhos = np.array([spectral_radius(competition_matrix(model, x)) for x in pts])
+    worst_idx = int(np.argmax(rhos))
+    worst = float(rhos[worst_idx])
+    witness = pts[worst_idx]
+    total = int(pts.shape[0])
+    if refine:
+        step = q / grid_resolution
+        offsets = np.linspace(-1.0, 1.0, 9)
+        axes = [
+            np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i])
+            for i in range(model.n)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        refined = np.stack([m.ravel() for m in mesh], axis=-1)
+        rhos_ref = np.array([spectral_radius(competition_matrix(model, x)) for x in refined])
+        total += int(refined.shape[0])
+        k = int(np.argmax(rhos_ref))
+        if rhos_ref[k] > worst:
+            worst = float(rhos_ref[k])
+            witness = refined[k]
+    verdict = "pass_sampled" if worst < 1.0 else "fail"
+    return ConditionResult("Eq4", verdict, worst=worst, witness=witness, samples=total)
+
+
+def reference_periodic_axial_q(model, tol=1e-13, max_iter=10_000):
+    q = np.empty(model.n)
+    for i in range(model.n):
+        b0 = model.system.B[i].const
+        a0 = model.system.A[i][i].const
+        r = b0 / a0 if (b0 > 0 and a0 > 0) else 1.0
+        point = np.zeros(model.n)
+        converged = False
+        for _ in range(max_iter):
+            point[i] = r
+            r_new = float(model.step(point)[i])
+            if not np.isfinite(r_new) or r_new > 1e12:
+                break
+            if abs(r_new - r) < tol * max(1.0, r_new):
+                r = r_new
+                converged = True
+                break
+            r = r_new
+        if not converged or r < 1e-12:
+            raise ModelParameterError(f"no axial fixed point for species {i + 1}")
+        q[i] = r
+    return q
+
+
+def reference_fd_jacobian(model, x):
+    pts = np.atleast_2d(x)
+    n = model.n
+    jac = np.empty((pts.shape[0], n, n))
+    for j in range(n):
+        h = 1e-6 * (1.0 + np.abs(pts[:, j]))
+        up = pts.copy()
+        dn = pts.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        jac[:, :, j] = (model.growth(up) - model.growth(dn)) / (2.0 * h)[:, None]
+    return jac
+
+
+# ---------------------------------------------------------------------------
+# InvPos
+# ---------------------------------------------------------------------------
+
+
+STRONG = MayOsterModel([3.0, 0.5], [[1.0, 0.2], [0.3, 1.0]])
+MIXED_PROBE = [
+    [0.0, 0.0],  # empty support: skipped
+    [0.5, 0.0],
+    [0.0, 0.3],
+    [0.2, 0.1],
+    [0.0, 0.0],
+    [0.4, 0.2],
+    [2.0, 0.0],  # T'_11 = G_1 (1 - 2) < 0: the first failure
+    [0.1, 0.1],
+    [2.5, 0.1],  # fails too, but later
+    [0.0, 0.45],
+]
+
+
+def test_inverse_positivity_mixed_support_fails_at_the_first_failing_point():
+    batched = check_inverse_positivity(STRONG, MIXED_PROBE)
+    reference = reference_inverse_positivity(STRONG, MIXED_PROBE)
+    assert batched.verdict == "fail"
+    assert batched.samples == 5
+    assert batched.to_record() == reference.to_record()
+
+
+def test_inverse_positivity_mixed_support_pass():
+    probe = [p for p in MIXED_PROBE if max(p) < 1.0]
+    batched = check_inverse_positivity(STRONG, probe)
+    assert batched.verdict == "pass_sampled"
+    assert batched.to_record() == reference_inverse_positivity(STRONG, probe).to_record()
+
+
+@pytest.mark.parametrize(
+    "model, probe",
+    [
+        # T'(1) = e^0 (1 - 1) = 0: a singular 1x1 matrix after a passing point
+        (MayOsterModel([1.0], [[1.0]]), [[0.5], [1.0], [3.0]]),
+        # the same singular block as the support {1} of a 2-species point
+        (
+            MayOsterModel([1.0, 0.5], [[1.0, 0.2], [0.3, 1.0]]),
+            [[0.2, 0.1], [0.0, 0.2], [1.0, 0.0], [0.3, 0.3]],
+        ),
+    ],
+)
+def test_inverse_positivity_singular_submatrix(model, probe):
+    batched = check_inverse_positivity(model, probe)
+    assert batched.witness["reason"] == "singular principal submatrix"
+    assert batched.to_record() == reference_inverse_positivity(model, probe).to_record()
+
+
+def test_inverse_positivity_without_support_is_vacuous():
+    batched = check_inverse_positivity(STRONG, [[0.0, 0.0]])
+    assert batched.to_record() == reference_inverse_positivity(STRONG, [[0.0, 0.0]]).to_record()
+    assert batched.samples == 0
+
+
+def test_inverse_positivity_on_period_map(periodic64):
+    q = periodic64.verified_axial_fixed_points()
+    probe = np.vstack([np.random.default_rng(5).random((12, 2)) * q, q, np.diag(q)])
+    batched = check_inverse_positivity(periodic64, probe).to_record()
+    reference = reference_inverse_positivity(periodic64, probe).to_record()
+    assert batched["verdict"] == reference["verdict"] == "pass_sampled"
+    assert batched["samples"] == reference["samples"]
+    assert batched["witness"]["x"] == reference["witness"]["x"]
+    assert batched["worst"] == pytest.approx(reference["worst"], rel=FD_REL)
+
+
+# ---------------------------------------------------------------------------
+# C4, C5 and q
+# ---------------------------------------------------------------------------
+
+
+def test_axial_fail_witness_matches_reference(may1_b3):
+    batched = check_axial(may1_b3)
+    assert batched.verdict == "fail"
+    assert batched.to_record() == reference_axial(may1_b3).to_record()
+
+
+def test_axial_first_failing_pair_in_order():
+    # species 1 attracts, species 2 oscillates (b = 3): the first failure is
+    # (i = 2, start = 0.1 q_2) even though both starts of species 2 fail
+    model = MayOsterModel([0.5, 3.0], [[1.0, 0.0], [0.0, 1.0]])
+    batched = check_axial(model)
+    assert (batched.witness["i"], batched.witness["start"]) == (2, pytest.approx(0.3))
+    assert batched.to_record() == reference_axial(model).to_record()
+
+
+@pytest.mark.parametrize("name", ["may2", "lg2", "neural2"])
+def test_axial_pass_matches_reference(name, request):
+    model = request.getfixturevalue(name)
+    assert check_axial(model).to_record() == reference_axial(model).to_record()
+
+
+def test_axial_pass_on_period_map_matches_reference(periodic64):
+    # axis rows have one nonzero coordinate, so batching leaves them exact
+    assert check_axial(periodic64).to_record() == reference_axial(periodic64).to_record()
+
+
+def test_periodic_axial_q_matches_reference(periodic64):
+    fresh = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
+    assert np.array_equal(fresh.axial_fixed_points(), reference_periodic_axial_q(periodic64))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MayOsterModel([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]]),
+        MayOsterModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),  # ties at 0
+        MayOsterModel([0.5, 0.4, 0.45], [[1, 0.2, 0.1], [0.3, 1, 0.2], [0.1, 0.2, 1]]),
+    ],
+)
+def test_c5_matches_reference(model):
+    batched = check_c5(model, samples=2000, seed=7)
+    worst, witness, near_ties = reference_c5(model, samples=2000, seed=7)
+    record = batched.to_record()
+    assert record["worst"] == worst
+    assert record["witness"] == ConditionResult("C5", "", witness=witness).to_record()["witness"]
+    assert batched.note == (f"near-ties (> -1e-12): {near_ties}" if near_ties else "")
+
+
+def test_verified_q_is_checked_once_and_shared(monkeypatch):
+    model = MayOsterModel([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]])
+    calls = []
+    step = model.step
+    monkeypatch.setattr(model, "step", lambda x: calls.append(np.shape(x)) or step(x))
+    first = model.verified_axial_fixed_points()
+    again = model.verified_axial_fixed_points()
+    assert again is first
+    assert calls == [(2, 2)]
+    assert not first.flags.writeable
+    assert np.array_equal(first, model.axial_fixed_points())
+
+
+# ---------------------------------------------------------------------------
+# Eq4 and the finite-difference Jacobian
+# ---------------------------------------------------------------------------
+
+
+def test_spectral_grid_on_period_map_matches_reference(periodic64):
+    batched = check_spectral_grid(periodic64, grid_resolution=8)
+    reference = reference_spectral_grid(periodic64, grid_resolution=8)
+    assert batched.verdict == reference.verdict
+    assert batched.samples == reference.samples
+    assert np.array_equal(batched.witness, reference.witness)
+    assert batched.worst == pytest.approx(reference.worst, rel=FD_REL)
+
+
+@pytest.mark.parametrize("name", ["may2", "lg2", "neural2", "may1_b3"])
+def test_spectral_grid_on_closed_forms_matches_reference(name, request):
+    model = request.getfixturevalue(name)
+    batched = check_spectral_grid(model, grid_resolution=8)
+    reference = reference_spectral_grid(model, grid_resolution=8)
+    assert batched.verdict == reference.verdict
+    assert batched.samples == reference.samples
+    assert np.array_equal(batched.witness, reference.witness)
+    assert batched.worst == pytest.approx(reference.worst, rel=1e-14)
+
+
+def test_fd_jacobian_matches_per_coordinate_reference(periodic64):
+    q = periodic64.verified_axial_fixed_points()
+    pts = np.vstack([np.random.default_rng(9).random((6, 2)) * q, np.zeros(2), np.diag(q)])
+    batched = periodic64.growth_jacobian(pts)
+    reference = reference_fd_jacobian(periodic64, pts)
+    assert batched.shape == (pts.shape[0], 2, 2)
+    assert np.allclose(batched, reference, rtol=FD_REL, atol=FD_REL * np.abs(reference).max())
+    assert np.allclose(periodic64.growth_jacobian(pts[3]), batched[3], rtol=FD_REL)

@@ -1,0 +1,100 @@
+"""The command-line contract: exit codes, one-line usage errors, fixed-seed output."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from carrysim.cli import main
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+# the periodic model at the reduced resolution of the periodic_check benchmark
+PERIODIC_FAST = ["--ode-steps", "64", "--grid", "8", "--samples", "2000"]
+OVERSHOOT = {
+    "type": "may_oster",
+    "n": 3,
+    "B": [0.5, 0.4, 0.45],
+    "A": [[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]],
+}
+
+
+def model(name: str) -> str:
+    return str(MODELS / f"{name}.json")
+
+
+@pytest.mark.parametrize(
+    "name, extra, code",
+    [
+        ("may2", [], 0),
+        ("leslie2", [], 0),
+        ("neural2", [], 0),
+        ("may1_b3", [], 1),  # C4, Eq4 and InvPos fail: |T'(q)| = 2
+        ("periodic_lv2", PERIODIC_FAST, 2),  # no closed-form Model criterion
+    ],
+)
+def test_check_exit_codes_on_bundled_models(name, extra, code, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["check", "--model", model(name), "--out", str(out), *extra]) == code
+    report = json.loads(out.read_text())
+    verdicts = {c["verdict"] for c in report["conditions"]}
+    assert ("fail" in verdicts) == (code == 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],  # missing --model
+        ["check", "--model", model("may2"), "--grid", "abc"],
+        ["check", "--model", model("may2"), "--samples", "0"],
+        ["check", "--model", model("may2"), "--seed", "-1"],
+        ["check", "--model", model("periodic_lv2"), "--ode-steps", "10"],
+        ["simplex", "--model", model("may2"), "--grid", "1"],
+        ["simplex", "--model", model("may2"), "--tol", "nan"],
+        ["simulate", "--model", model("may2"), "--x0", "1,nan"],
+        ["simulate", "--model", model("may2"), "--x0", "1"],
+        ["sweep1d", "--b-min", "0", "--b-max", "1"],
+        ["sweep1d", "--b-min", "2", "--b-max", "1"],
+        ["sweep1d", "--b-min", "1", "--b-max", "2", "--steps", "10", "--burn-in", "10"],
+        ["wangjiang", "--model", model("periodic_lv2"), "--t-span", "0"],
+        ["frobnicate"],
+    ],
+)
+def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_simplex_exits_1_when_the_surface_is_not_unordered(tmp_path, capsys):
+    path = tmp_path / "overshoot.json"
+    path.write_text(json.dumps(OVERSHOOT))
+    out = tmp_path / "surface.csv"
+    assert main(["simplex", "--model", str(path), "--grid", "8", "--out", str(out)]) == 1
+    assert "unordered: FAIL" in capsys.readouterr().out
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert meta["converged"] is True
+    assert meta["verification"]["unordered"]["ok"] is False
+
+
+def test_simplex_exit_0_when_verified(tmp_path):
+    out = tmp_path / "surface.csv"
+    assert main(["simplex", "--model", model("may2"), "--grid", "16", "--out", str(out)]) == 0
+
+
+def test_simplex_keeps_exit_3_when_not_converged(tmp_path):
+    out = tmp_path / "surface.csv"
+    argv = ["simplex", "--model", model("may1_b3"), "--force", "--out", str(out)]
+    assert main(argv) == 3
+
+
+@pytest.mark.parametrize(
+    "name, extra", [("leslie2", []), ("periodic_lv2", PERIODIC_FAST)]
+)
+def test_check_output_is_byte_identical_for_a_fixed_seed(name, extra, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for out in (first, second):
+        main(["check", "--model", model(name), "--seed", "5", "--out", str(out), *extra])
+    assert first.read_bytes() == second.read_bytes()
