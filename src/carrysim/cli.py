@@ -17,7 +17,7 @@ import numpy as np
 
 from .criteria import run_criteria
 from .modelio import LoadedModel, ModelFileError, load_model_file
-from .models import ModelParameterError
+from .models import ModelEvaluationError, ModelParameterError
 from .periodic import (
     IntegrationConfig,
     check_a_conditions,
@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     except SurfaceDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except ModelEvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def _collect_conditions(loaded: LoadedModel, args) -> list:

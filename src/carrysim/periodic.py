@@ -15,10 +15,10 @@ import numpy as np
 
 from .cone import as_state, strictly_less_all
 from .criteria import ConditionResult
-from .models import CompetitionModel, ModelParameterError
+from .models import CompetitionModel, ModelEvaluationError, ModelParameterError
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ModelEvaluationError):
     """Integration produced a non-finite state; carries the time stamp."""
 
     def __init__(self, message: str, time: float):
@@ -147,6 +147,8 @@ class PeriodicLVSystem:
 # ---------------------------------------------------------------------------
 
 
+# an overflow shows up as a non-finite l, which is raised as IntegrationError
+@np.errstate(over="ignore", invalid="ignore")
 def _log_gain(
     system: PeriodicLVSystem,
     x0: np.ndarray,

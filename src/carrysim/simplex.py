@@ -49,12 +49,8 @@ class SimplexGrid:
             k = np.arange(m + 1)
             lattice = np.stack([k, m - k], axis=1)
         elif n == 3:
-            rows = [
-                (i, j, m - i - j)
-                for i in range(m + 1)
-                for j in range(m - i + 1)
-            ]
-            lattice = np.array(rows, dtype=int)
+            i, c = np.triu_indices(m + 1)  # rows (i, j) by i, then j = c - i
+            lattice = np.stack([i, c - i, m - c], axis=1)
         else:
             raise ValueError("simplicial grids are built only for n <= 3")
         nodes = lattice / float(m) if m > 0 else lattice.astype(float)
@@ -66,45 +62,46 @@ class SimplexGrid:
         return self.nodes.shape[0]
 
     def node_index(self, lattice_point) -> int:
-        key = tuple(int(v) for v in lattice_point)
-        return self._index()[key]
+        """Row of ``lattice`` that holds the given integer point."""
+        lat = tuple(int(v) for v in lattice_point)
+        if len(lat) != self.n or sum(lat) != self.m or min(lat) < 0:
+            raise KeyError(lat)
+        if self.n == 3:
+            return int(self._lattice_index(lat[0], lat[1]))
+        return lat[0] if self.n == 2 else 0
 
-    def _index(self) -> dict:
-        cache = getattr(self, "_index_cache", None)
-        if cache is None:
-            cache = {tuple(int(v) for v in row): k for k, row in enumerate(self.lattice)}
-            object.__setattr__(self, "_index_cache", cache)
-        return cache
+    def _lattice_index(self, i, j):
+        """Row of the n = 3 lattice point (i, j, m - i - j); takes arrays too."""
+        return i * (self.m + 1) - i * (i - 1) // 2 + j
 
     def axis_node_indices(self) -> list[int]:
         """Node index of each unit direction e_i."""
-        out = []
-        for i in range(self.n):
-            lat = [0] * self.n
-            lat[i] = self.m
-            out.append(self.node_index(lat))
-        return out
+        return [self.node_index(self.m * e) for e in np.eye(self.n, dtype=int)]
+
+    def edge_chains(self) -> list[tuple[np.ndarray, int]]:
+        """Node ids along the three boundary edges of an n = 3 grid, each with
+        the direction coordinate that increases along it."""
+        k = np.arange(self.m + 1)
+        ix = self._lattice_index
+        return [(ix(k, 0), 0), (ix(0, k), 1), (ix(k, self.m - k), 0)]
 
     def triangles(self) -> np.ndarray:
-        """Node-index triples of the standard triangulation (n = 3 only)."""
+        """Node-index triples of the standard triangulation (n = 3 only).
+
+        Per lattice cell (i, j), by i and then j: the upward triangle, then
+        the downward one where it exists, both positively oriented.
+        """
         if self.n != 3:
             raise ValueError("triangles are defined for n = 3 grids")
         cache = getattr(self, "_tri_cache", None)
         if cache is not None:
             return cache
-        idx = self._index()
-        tris = []
-        m = self.m
-        for i in range(m):
-            for j in range(m - i):
-                a = idx[(i, j, m - i - j)]
-                b = idx[(i + 1, j, m - i - j - 1)]
-                c = idx[(i, j + 1, m - i - j - 1)]
-                tris.append((a, b, c))
-                if i + j <= m - 2:
-                    d = idx[(i + 1, j + 1, m - i - j - 2)]
-                    tris.append((b, d, c))  # ordered to keep a positive orientation
-        cache = np.array(tris, dtype=int)
+        i, j = self.lattice[self.lattice[:, 2] > 0, :2].T
+        ix = self._lattice_index
+        up = np.stack([ix(i, j), ix(i + 1, j), ix(i, j + 1)], axis=1)
+        down = np.stack([ix(i + 1, j), ix(i + 1, j + 1), ix(i, j + 1)], axis=1)
+        has_down = np.stack([np.ones_like(i, dtype=bool), i + j <= self.m - 2], axis=1)
+        cache = np.stack([up, down], axis=1)[has_down]
         object.__setattr__(self, "_tri_cache", cache)
         return cache
 
@@ -120,41 +117,34 @@ class SimplexGrid:
         elif self.n == 2:
             out = np.interp(d[:, 0], self.nodes[:, 0], values)
         else:
-            out = np.array([self._interp3(values, row) for row in d])
+            out = self._interp3(np.asarray(values), d)
         return out[0] if single else out
 
-    def _interp3(self, values: np.ndarray, d: np.ndarray) -> float:
-        idx = self._index()
+    def _interp3(self, values: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Barycentric interpolation in the lattice triangle holding each row."""
         m = self.m
-        u = d[0] * m
-        v = d[1] * m
-        i0 = min(int(np.floor(u)), m - 1)
-        j0 = min(int(np.floor(v)), m - 1)
-        i0 = max(i0, 0)
-        j0 = max(j0, 0)
-        if i0 + j0 >= m:  # exactly on the far edge lattice point
-            if i0 > 0:
-                i0 -= 1
-            else:
-                j0 -= 1
+        u = d[:, 0] * m
+        v = d[:, 1] * m
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("directions must be finite")
+        i0 = np.clip(np.floor(u), 0, m - 1).astype(int)
+        j0 = np.clip(np.floor(v), 0, m - 1).astype(int)
+        i0 -= (i0 + j0 >= m)  # a lattice point on the far edge: the cell before it
+        if np.any(i0 + j0 >= m):
+            raise ValueError("directions must lie on the unit simplex")
         fu = u - i0
         fv = v - j0
-        if fu + fv <= 1.0 or i0 + j0 == m - 1:
-            w = np.array([max(1.0 - fu - fv, 0.0), fu, fv])
-            w /= w.sum()
-            verts = [
-                idx[(i0, j0, m - i0 - j0)],
-                idx[(i0 + 1, j0, m - i0 - j0 - 1)],
-                idx[(i0, j0 + 1, m - i0 - j0 - 1)],
-            ]
-        else:
-            w = np.array([1.0 - fv, 1.0 - fu, fu + fv - 1.0])
-            verts = [
-                idx[(i0 + 1, j0, m - i0 - j0 - 1)],
-                idx[(i0, j0 + 1, m - i0 - j0 - 1)],
-                idx[(i0 + 1, j0 + 1, m - i0 - j0 - 2)],
-            ]
-        return float(sum(w[k] * values[verts[k]] for k in range(3)))
+        lower = (fu + fv <= 1.0) | (i0 + j0 == m - 1)
+        w0 = np.maximum(1.0 - fu - fv, 0.0)
+        w = np.where(
+            lower,
+            np.stack([w0, fu, fv]) / ((w0 + fu) + fv),  # the sum is >= 1 up to rounding
+            np.stack([1.0 - fv, 1.0 - fu, fu + fv - 1.0]),
+        )
+        ix = self._lattice_index
+        a, b, c = ix(i0, j0), ix(i0 + 1, j0), ix(i0, j0 + 1)
+        v0, v1, v2 = values[np.where(lower, [a, b, c], [b, c, ix(i0 + 1, j0 + 1)])]
+        return (w[0] * v0 + w[1] * v1) + w[2] * v2
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +290,41 @@ def _rebuild_1d(
     return np.interp(targets, s_img, rho)
 
 
+# Each image triangle is listed in every cell that its bounding box, grown by
+# this much, meets: enough for a triangle whose weights round to >= 0 at a
+# node to be listed in the node's cell.
+_BOX_EPS = 1e-9
+_PAIR_CHUNK = 1 << 14  # (node, triangle) pairs per block of the full search
+
+
 def _rebuild_2d(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Rebuild the n = 3 radii on the fixed grid from the pushed-forward nodes.
+
+    Boundary edges are one-dimensional subproblems on their own nodes.  An
+    interior node interpolates ``rho`` in the image triangle whose smallest
+    barycentric weight at the node is largest, the lowest index winning a
+    tie.  The search is by cells: each image triangle is listed in the 1/m
+    cells its grown bounding box meets, and a node is tested against the
+    list of its own cell.  Every triangle that holds the node is on that
+    list, so when one of them has all weights >= 0 the pick is the one a
+    search over all triangles makes.  A node with no such candidate (one on
+    an edge shared by two images, which rounding puts just outside both, as
+    under the identity direction map of a planar model) is searched against
+    all triangles, in blocks of nodes.
+    """
     m = grid.m
-    idx = grid._index()
     new_radii = np.empty(len(grid))
-
-    # vertices keep their direction exactly (facet invariance)
-    for k in grid.axis_node_indices():
-        new_radii[k] = rho[k]
-
-    # boundary edges are one-dimensional subproblems on their own nodes
-    edges = [
-        ([idx[(i, 0, m - i)] for i in range(m + 1)], 0),   # d2 = 0 edge
-        ([idx[(0, j, m - j)] for j in range(m + 1)], 1),   # d1 = 0 edge
-        ([idx[(i, m - i, 0)] for i in range(m + 1)], 0),   # d3 = 0 edge
-    ]
-    for node_ids, param_axis in edges:
-        node_ids = np.array(node_ids)
-        targets = grid.nodes[node_ids, param_axis]
-        s_img = dirs[node_ids, param_axis]
-        new_radii[node_ids] = _rebuild_1d(targets, s_img, rho[node_ids], m)
+    for node_ids, axis in grid.edge_chains():
+        new_radii[node_ids] = _rebuild_1d(
+            grid.nodes[node_ids, axis], dirs[node_ids, axis], rho[node_ids], m
+        )
 
     # interior nodes: barycentric containment in the image triangulation
     interior = np.flatnonzero((grid.lattice > 0).all(axis=1))
     if interior.size == 0:
         return new_radii
     tris = grid.triangles()
-    img_xy = dirs[:, :2]
-    a = img_xy[tris[:, 0]]
-    b = img_xy[tris[:, 1]]
-    c = img_xy[tris[:, 2]]
+    a, b, c = dirs[tris, :2].transpose(1, 0, 2)
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
@@ -339,32 +334,72 @@ def _rebuild_2d(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndar
         )
 
     targets = grid.nodes[interior][:, :2]
-    best_min = np.full(interior.size, -np.inf)
-    best_val = np.zeros(interior.size)
-    for t in range(tris.shape[0]):
-        pa, pb, pc = a[t], b[t], c[t]
-        rel = targets - pa
-        wb = (rel[:, 0] * (pc[1] - pa[1]) - rel[:, 1] * (pc[0] - pa[0])) / det[t]
-        wc = ((pb[0] - pa[0]) * rel[:, 1] - (pb[1] - pa[1]) * rel[:, 0]) / det[t]
-        wa = 1.0 - wb - wc
-        w_min = np.minimum(wa, np.minimum(wb, wc))
-        better = w_min > best_min
-        if np.any(better):
-            vals = (
-                wa * rho[tris[t, 0]]
-                + wb * rho[tris[t, 1]]
-                + wc * rho[tris[t, 2]]
-            )
-            best_val[better] = vals[better]
-            best_min[better] = w_min[better]
-
+    best, best_min = _best_in_cells(targets, a, b, c, det, m)
+    missed = np.flatnonzero(best_min < 0.0)
+    step = max(1, _PAIR_CHUNK // det.size)
+    for s in range(0, missed.size, step):
+        block = missed[s : s + step]
+        # with one cell, every triangle is a candidate
+        best[block], best_min[block] = _best_in_cells(targets[block], a, b, c, det, 1)
     if np.any(best_min < -1e-9):
         raise SurfaceDegeneracyError(
             f"image triangulation does not cover the grid at resolution {m}; "
             "refine grid"
         )
-    new_radii[interior] = best_val
+    wa, wb, wc = _barycentric(targets, a[best], b[best], c[best], det[best])
+    t = tris[best]
+    new_radii[interior] = wa * rho[t[:, 0]] + wb * rho[t[:, 1]] + wc * rho[t[:, 2]]
     return new_radii
+
+
+def _barycentric(p, a, b, c, det):
+    """Weights of the points ``p`` in the triangles (a, b, c) of doubled
+    signed area ``det``."""
+    rx = p[:, 0] - a[:, 0]
+    ry = p[:, 1] - a[:, 1]
+    wb = (rx * (c[:, 1] - a[:, 1]) - ry * (c[:, 0] - a[:, 0])) / det
+    wc = ((b[:, 0] - a[:, 0]) * ry - (b[:, 1] - a[:, 1]) * rx) / det
+    return 1.0 - wb - wc, wb, wc
+
+
+def _cells(xy: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of the 1/k cell holding each point, clipped to [0, 1)^2."""
+    ij = np.clip(np.floor(xy * k), 0, k - 1).astype(int)
+    return ij[:, 0] * k + ij[:, 1]
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of each item when owner i has counts[i] items."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, rank
+
+
+def _best_in_cells(targets, a, b, c, det, k: int):
+    """Per target, among the triangles listed in its 1/k cell, the one with the
+    largest smallest weight (lowest index on ties) and that weight; -1 and
+    -inf where the cell lists none."""
+    lo = _cells(np.minimum(a, np.minimum(b, c)) - _BOX_EPS, k)
+    hi = _cells(np.maximum(a, np.maximum(b, c)) + _BOX_EPS, k)
+    span_y = hi % k - lo % k + 1
+    tri, r = _ragged((hi // k - lo // k + 1) * span_y)
+    cell = lo[tri] + (r // span_y[tri]) * k + r % span_y[tri]
+    by_cell = tri[np.argsort(cell, kind="stable")]  # ascending within a cell
+    per_cell = np.bincount(cell, minlength=k * k)
+    target_cell = _cells(targets, k)
+    p, r = _ragged(per_cell[target_cell])
+    t = by_cell[(np.cumsum(per_cell) - per_cell)[target_cell][p] + r]
+    wa, wb, wc = _barycentric(targets[p], a[t], b[t], c[t], det[t])
+    w_min = np.minimum(wa, np.minimum(wb, wc))
+    # per target, the first of its pairs that reaches its largest w_min
+    group_max = np.maximum.reduceat(w_min, np.flatnonzero(r == 0))
+    top = np.flatnonzero(w_min == group_max[np.cumsum(r == 0) - 1])
+    first = top[np.diff(p[top], prepend=-1) > 0]
+    best = np.full(targets.shape[0], -1)
+    best_min = np.full(targets.shape[0], -np.inf)
+    best[p[first]] = t[first]
+    best_min[p[first]] = w_min[first]
+    return best, best_min
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +617,7 @@ def discretization_floor(surface: RadialSurface) -> float:
     if surface.n == 2:
         chains = [np.arange(len(surface.grid))]
     else:
-        m = surface.grid.m
-        idx = surface.grid._index()
-        chains = [
-            np.array([idx[(i, 0, m - i)] for i in range(m + 1)]),
-            np.array([idx[(0, j, m - j)] for j in range(m + 1)]),
-            np.array([idx[(i, m - i, 0)] for i in range(m + 1)]),
-        ]
+        chains = [chain for chain, _ in surface.grid.edge_chains()]
     worst = 0.0
     for chain in chains:
         r = surface.radii[chain]

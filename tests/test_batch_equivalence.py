@@ -26,9 +26,11 @@ from carrysim.criteria import (
     default_region,
     spectral_radius,
 )
+from carrysim import simplex
 from carrysim.modelio import load_model_file
-from carrysim.models import MayOsterModel, ModelParameterError
+from carrysim.models import LeslieGowerModel, MayOsterModel, ModelParameterError
 from carrysim.periodic import IntegrationConfig
+from carrysim.simplex import SimplexGrid, SurfaceDegeneracyError, compute_carrying_simplex
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 FD_REL = 1e-9
@@ -367,3 +369,234 @@ def test_fd_jacobian_matches_per_coordinate_reference(periodic64):
     assert batched.shape == (pts.shape[0], 2, 2)
     assert np.allclose(batched, reference, rtol=FD_REL, atol=FD_REL * np.abs(reference).max())
     assert np.allclose(periodic64.growth_jacobian(pts[3]), batched[3], rtol=FD_REL)
+
+
+# ---------------------------------------------------------------------------
+# n = 3 surface: bucketed triangle search and lattice interpolation
+# ---------------------------------------------------------------------------
+
+COUPLED = MayOsterModel(
+    [0.5, 0.49, 0.505], [[1.0, 0.2, 0.21], [0.19, 1.0, 0.2], [0.2, 0.205, 1.0]]
+)
+OVERSHOOT = MayOsterModel(
+    [0.5, 0.4, 0.45], [[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]
+)
+PLANAR = LeslieGowerModel([1.2] * 3, [[1.0, 0.8, 0.6]] * 3)
+
+
+def reference_lattice_index(grid):
+    return {tuple(int(v) for v in row): k for k, row in enumerate(grid.lattice)}
+
+
+def reference_triangles(grid):
+    idx = reference_lattice_index(grid)
+    tris = []
+    m = grid.m
+    for i in range(m):
+        for j in range(m - i):
+            a = idx[(i, j, m - i - j)]
+            b = idx[(i + 1, j, m - i - j - 1)]
+            c = idx[(i, j + 1, m - i - j - 1)]
+            tris.append((a, b, c))
+            if i + j <= m - 2:
+                d = idx[(i + 1, j + 1, m - i - j - 2)]
+                tris.append((b, d, c))
+    return np.array(tris, dtype=int)
+
+
+def reference_rebuild_2d(grid, dirs, rho):
+    m = grid.m
+    idx = reference_lattice_index(grid)
+    new_radii = np.empty(len(grid))
+    for k in grid.axis_node_indices():
+        new_radii[k] = rho[k]
+    edges = [
+        ([idx[(i, 0, m - i)] for i in range(m + 1)], 0),
+        ([idx[(0, j, m - j)] for j in range(m + 1)], 1),
+        ([idx[(i, m - i, 0)] for i in range(m + 1)], 0),
+    ]
+    for node_ids, param_axis in edges:
+        node_ids = np.array(node_ids)
+        targets = grid.nodes[node_ids, param_axis]
+        s_img = dirs[node_ids, param_axis]
+        new_radii[node_ids] = simplex._rebuild_1d(targets, s_img, rho[node_ids], m)
+
+    interior = np.flatnonzero((grid.lattice > 0).all(axis=1))
+    if interior.size == 0:
+        return new_radii
+    tris = reference_triangles(grid)
+    img_xy = dirs[:, :2]
+    a = img_xy[tris[:, 0]]
+    b = img_xy[tris[:, 1]]
+    c = img_xy[tris[:, 2]]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    if np.any(det <= 0.0):
+        raise SurfaceDegeneracyError(
+            f"direction map not injective at resolution {m}; refine grid"
+        )
+
+    targets = grid.nodes[interior][:, :2]
+    best_min = np.full(interior.size, -np.inf)
+    best_val = np.zeros(interior.size)
+    for t in range(tris.shape[0]):
+        pa, pb, pc = a[t], b[t], c[t]
+        rel = targets - pa
+        wb = (rel[:, 0] * (pc[1] - pa[1]) - rel[:, 1] * (pc[0] - pa[0])) / det[t]
+        wc = ((pb[0] - pa[0]) * rel[:, 1] - (pb[1] - pa[1]) * rel[:, 0]) / det[t]
+        wa = 1.0 - wb - wc
+        w_min = np.minimum(wa, np.minimum(wb, wc))
+        better = w_min > best_min
+        if np.any(better):
+            vals = wa * rho[tris[t, 0]] + wb * rho[tris[t, 1]] + wc * rho[tris[t, 2]]
+            best_val[better] = vals[better]
+            best_min[better] = w_min[better]
+
+    if np.any(best_min < -1e-9):
+        raise SurfaceDegeneracyError(
+            f"image triangulation does not cover the grid at resolution {m}; "
+            "refine grid"
+        )
+    new_radii[interior] = best_val
+    return new_radii
+
+
+def reference_interp3(grid, values, d):
+    idx = reference_lattice_index(grid)
+    m = grid.m
+    u = d[0] * m
+    v = d[1] * m
+    i0 = min(int(np.floor(u)), m - 1)
+    j0 = min(int(np.floor(v)), m - 1)
+    i0 = max(i0, 0)
+    j0 = max(j0, 0)
+    if i0 + j0 >= m:
+        if i0 > 0:
+            i0 -= 1
+        else:
+            j0 -= 1
+    fu = u - i0
+    fv = v - j0
+    if fu + fv <= 1.0 or i0 + j0 == m - 1:
+        w = np.array([max(1.0 - fu - fv, 0.0), fu, fv])
+        w /= w.sum()
+        verts = [
+            idx[(i0, j0, m - i0 - j0)],
+            idx[(i0 + 1, j0, m - i0 - j0 - 1)],
+            idx[(i0, j0 + 1, m - i0 - j0 - 1)],
+        ]
+    else:
+        w = np.array([1.0 - fv, 1.0 - fu, fu + fv - 1.0])
+        verts = [
+            idx[(i0 + 1, j0, m - i0 - j0 - 1)],
+            idx[(i0, j0 + 1, m - i0 - j0 - 1)],
+            idx[(i0 + 1, j0 + 1, m - i0 - j0 - 2)],
+        ]
+    return float(sum(w[k] * values[verts[k]] for k in range(3)))
+
+
+def _rebuild_outcome(fn, grid, dirs, rho):
+    try:
+        return fn(grid, dirs, rho)
+    except SurfaceDegeneracyError as exc:
+        return str(exc)
+
+
+def _surface_with(rebuild, model, m, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_rebuild_2d", rebuild)
+        return compute_carrying_simplex(model, m=m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 13, 24])
+def test_lattice_index_and_triangles_match_reference(m):
+    grid = SimplexGrid.build(3, m)
+    idx = reference_lattice_index(grid)
+    assert [grid.node_index(key) for key in idx] == list(idx.values())
+    assert np.array_equal(grid.triangles(), reference_triangles(grid))
+    for (node_ids, axis), nodes in zip(
+        grid.edge_chains(), ([(i, 0, m - i) for i in range(m + 1)],
+                             [(0, j, m - j) for j in range(m + 1)],
+                             [(i, m - i, 0) for i in range(m + 1)])  # fmt: skip
+    ):
+        assert node_ids.tolist() == [idx[key] for key in nodes]
+        assert np.all(np.diff(grid.nodes[node_ids, axis]) > 0)
+    with pytest.raises(KeyError):
+        grid.node_index((m, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "model, m",
+    [(OVERSHOOT, 8), (OVERSHOOT, 16), (COUPLED, 24), (PLANAR, 24)],
+    ids=["overshoot-8", "overshoot-16", "coupled-24", "planar-24"],
+)
+def test_surface_matches_the_triangle_loop(model, m, monkeypatch):
+    searched = []
+    best_in_cells = simplex._best_in_cells
+
+    def counting(targets, a, b, c, det, k):
+        if k == 1:  # the search over all triangles
+            searched.append(targets.shape[0])
+        return best_in_cells(targets, a, b, c, det, k)
+
+    monkeypatch.setattr(simplex, "_best_in_cells", counting)
+    fast = compute_carrying_simplex(model, m=m)
+    reference = _surface_with(reference_rebuild_2d, model, m, monkeypatch)
+    assert fast.iterations == reference.iterations
+    assert fast.descent_violations == reference.descent_violations
+    assert np.array_equal(fast.radii, reference.radii)
+    if model is PLANAR:  # the direction map is the identity: nodes sit on shared edges
+        assert sum(searched) > 0
+
+
+@pytest.mark.parametrize("m", [6, 16, 31])
+@pytest.mark.parametrize("scale", [0.02, 0.2, 0.3])
+def test_rebuild_matches_the_triangle_loop_on_perturbed_maps(m, scale):
+    rng = np.random.default_rng(1000 * m + int(100 * scale))
+    grid = SimplexGrid.build(3, m)
+    for _ in range(5):
+        dirs = grid.nodes + (scale / m) * rng.standard_normal(grid.nodes.shape)
+        dirs[grid.lattice == 0] = 0.0  # facets stay invariant
+        dirs = np.abs(dirs) / np.abs(dirs).sum(axis=1, keepdims=True)
+        rho = 1.0 + 0.1 * rng.random(len(grid))
+        fast = _rebuild_outcome(simplex._rebuild_2d, grid, dirs, rho)
+        reference = _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
+        if isinstance(reference, str):
+            assert fast == reference
+        else:
+            assert np.array_equal(fast, reference)
+
+
+def test_rebuild_errors_match_the_triangle_loop():
+    grid = SimplexGrid.build(3, 8)
+    rho = np.ones(len(grid))
+    folded = grid.nodes.copy()
+    a, b = grid.node_index((3, 2, 3)), grid.node_index((2, 3, 3))
+    folded[[a, b]] = folded[[b, a]]
+    centre = np.full(3, 1.0 / 3.0)
+    shrunk = centre + 0.5 * (grid.nodes - centre)  # the image misses the border
+    for dirs, message in ((folded, "not injective"), (shrunk, "does not cover")):
+        fast = _rebuild_outcome(simplex._rebuild_2d, grid, dirs, rho)
+        assert fast == _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
+        assert message in fast
+
+
+@pytest.mark.parametrize("m", [2, 5, 24])
+def test_interpolation_matches_the_row_loop(m):
+    rng = np.random.default_rng(m)
+    grid = SimplexGrid.build(3, m)
+    values = rng.random(len(grid))
+    s = np.linspace(0.0, 1.0, 4 * m + 1)
+    far_edge = np.stack([s, 1.0 - s, np.zeros_like(s)], axis=1)
+    tris = grid.triangles()
+    midpoints = [0.5 * (grid.nodes[tris[:, k]] + grid.nodes[tris[:, k - 1]]) for k in range(3)]
+    # random points on one edge of every triangle, among them every cell diagonal
+    s = rng.random((tris.shape[0], 1))
+    diagonal = s * grid.nodes[tris[:, 1]] + (1.0 - s) * grid.nodes[tris[:, 2]]
+    random = rng.dirichlet(np.ones(3), size=500)
+    dirs = np.vstack([random, grid.nodes, *midpoints, diagonal, np.eye(3), far_edge])
+    fast = grid.interpolate(values, dirs)
+    reference = np.array([reference_interp3(grid, values, row) for row in dirs])
+    assert np.array_equal(fast, reference)
+    assert grid.interpolate(values, dirs[7]) == reference[7]

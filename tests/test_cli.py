@@ -98,3 +98,43 @@ def test_check_output_is_byte_identical_for_a_fixed_seed(name, extra, tmp_path):
     for out in (first, second):
         main(["check", "--model", model(name), "--seed", "5", "--out", str(out), *extra])
     assert first.read_bytes() == second.read_bytes()
+
+
+# negative self-competition: A1 and A2 fail and the axial-q iteration blows up
+DIVERGENT_PERIODIC = {
+    "type": "periodic_lv",
+    "n": 2,
+    "fourier": {
+        "B": [{"const": 1.0}, {"const": 0.8}],
+        "A": [[{"const": -1.0}, {"const": 0.3}], [{"const": 0.2}, {"const": 1.1}]],
+    },
+}
+
+
+def test_check_reports_a_blown_up_integration_as_failures(tmp_path, capsys):
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(DIVERGENT_PERIODIC))
+    out = tmp_path / "report.json"
+    argv = ["check", "--model", str(path), "--ode-steps", "64", "--grid", "4",
+            "--samples", "200", "--out", str(out)]  # fmt: skip
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
+    by_id = {c["id"]: c for c in json.loads(out.read_text())["conditions"]}
+    assert by_id["A1"]["verdict"] == by_id["A2"]["verdict"] == "fail"
+    assert by_id["C4"]["verdict"] == "fail"
+    assert by_id["C4"]["note"] == "no axial fixed point"
+    assert "lost finiteness" in by_id["C4"]["witness"]
+    for cond_id in ("C1", "C2", "C3", "C5", "Eq3a", "Eq3b", "Eq4", "InvPos"):
+        assert by_id[cond_id]["verdict"] == "inconclusive"
+
+
+def test_simplex_reports_a_blown_up_integration_on_one_line(tmp_path, capsys):
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(DIVERGENT_PERIODIC))
+    out = tmp_path / "surface.csv"
+    argv = ["simplex", "--model", str(path), "--force", "--ode-steps", "64", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration lost finiteness at t = ")
+    assert err.count("\n") == 1
+    assert not out.exists()
