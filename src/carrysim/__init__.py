@@ -1,28 +1,13 @@
 """Carrying simplices of competitive maps: criteria, computation, verification."""
 
-from .cone import (
-    OrderInterval,
-    Ordering,
-    RadialCoords,
-    compare,
-    componentwise_max,
-    leq,
-    radial_project,
-    strictly_less_all,
-    strictly_majorizes,
-    support,
-)
+from .cone import OrderInterval
 from .criteria import (
     CompetitionModel,
     ConditionResult,
     CriteriaReport,
     competition_matrix,
-    gershgorin_col_check,
-    gershgorin_row_check,
-    power_iteration,
     run_criteria,
     spectral_radius,
-    spectral_radius_charpoly,
 )
 from .modelio import LoadedModel, ModelFileError, load_model_dict, load_model_file
 from .models import (
@@ -41,7 +26,6 @@ from .periodic import (
     Trajectory,
     check_a_conditions,
     integrate,
-    poincare_map,
     wang_jiang_check,
 )
 from .simplex import (

@@ -22,7 +22,6 @@ from .periodic import (
     IntegrationConfig,
     check_a_conditions,
     integrate,
-    is_competitive,
     wang_jiang_check,
 )
 from .simplex import (
@@ -95,21 +94,21 @@ def _write_json(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _common_flags(sub: argparse.ArgumentParser, model_required: bool = True) -> None:
-    if model_required:
-        sub.add_argument("--model", required=True, help="model description JSON")
-    sub.add_argument("--out", default=None, help="output path")
-    sub.add_argument("--seed", type=_int_at_least(0), default=42)
-    sub.add_argument("--tol", type=_positive_float, default=1e-10)
-    sub.add_argument(
-        "--grid", type=_int_at_least(1), default=None, help="grid resolution m"
-    )
-    sub.add_argument("--samples", type=_int_at_least(1), default=10_000)
-    sub.add_argument("--max-iter", type=_int_at_least(1), default=5_000)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument(
-        "--ode-steps", type=_ode_steps, default=256, help="RK4 steps per period"
-    )
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Give ``sub`` the shared flags it reads, in the order named."""
+    flags = {
+        "--model": dict(required=True, help="model description JSON"),
+        "--out": dict(default=None, help="output path"),
+        "--seed": dict(type=_int_at_least(0), default=42),
+        "--tol": dict(type=_positive_float, default=1e-10),
+        "--grid": dict(type=_int_at_least(1), default=None, help="grid resolution m"),
+        "--samples": dict(type=_int_at_least(1), default=10_000),
+        "--max-iter": dict(type=_int_at_least(1), default=5_000),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--ode-steps": dict(type=_ode_steps, default=256, help="RK4 steps per period"),
+    }
+    for name in names:
+        sub.add_argument(name, **flags[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,24 +120,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run every criterion and write a report")
-    _common_flags(p_check)
+    _add_flags(
+        p_check, "--model", "--out", "--seed", "--grid", "--samples", "--format", "--ode-steps"
+    )
     p_check.set_defaults(func=cmd_check)
 
     p_simplex = sub.add_parser("simplex", help="compute and verify the carrying simplex")
-    _common_flags(p_simplex)
+    _add_flags(
+        p_simplex, "--model", "--out", "--seed", "--tol", "--grid", "--samples",
+        "--max-iter", "--ode-steps",
+    )  # fmt: skip
     p_simplex.add_argument(
         "--force", action="store_true", help="compute even if criteria fail"
     )
     p_simplex.set_defaults(func=cmd_simplex)
 
     p_sim = sub.add_parser("simulate", help="iterate the map or integrate the flow")
-    _common_flags(p_sim)
+    _add_flags(p_sim, "--model", "--out", "--ode-steps")
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
     p_sim.add_argument("--steps", type=_int_at_least(1), default=100)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep1d", help="classify the scalar map over a b range")
-    _common_flags(p_sweep, model_required=False)
+    _add_flags(p_sweep, "--out")
     p_sweep.add_argument("--a", type=_positive_float, default=1.0)
     p_sweep.add_argument("--b-min", type=_positive_float, required=True)
     p_sweep.add_argument("--b-max", type=_positive_float, required=True)
@@ -151,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wj = sub.add_parser(
         "wangjiang", help="ratio monotonicity of ordered solution pairs"
     )
-    _common_flags(p_wj)
+    _add_flags(p_wj, "--model", "--out", "--seed", "--ode-steps")
     p_wj.add_argument("--pairs", type=_int_at_least(1), default=20)
     p_wj.add_argument("--t-span", type=_positive_float, default=3.0)
     p_wj.set_defaults(func=cmd_wangjiang)
@@ -367,11 +371,14 @@ def cmd_wangjiang(args) -> int:
         print("error: wangjiang requires a periodic_lv model", file=sys.stderr)
         return EXIT_USAGE
     system = loaded.system
-    ok, witness = is_competitive(system)
-    if not ok:
+    # Wang & Jiang's ratio argument needs A1 (A_ij >= 0), A2 (A_ii > 0) and
+    # A4 (B_i > 0); the starts below are scaled by B_i / A_ii.
+    a1, a2, _, a4 = check_a_conditions(system)
+    failed = [c for c in (a1, a2, a4) if not c.ok]
+    if failed:
         print(
             "refusing: system is not competitive; witness "
-            f"{json.dumps(witness.to_record())}",
+            f"{json.dumps(failed[0].to_record())}",
             file=sys.stderr,
         )
         return EXIT_FAIL

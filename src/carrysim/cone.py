@@ -1,8 +1,7 @@
 """Geometry of the nonnegative cone K = [0, inf)^n.
 
-Vector order, supports (facet membership), order intervals and radial
-coordinates over the unit simplex.  Everything here is a pure function on
-immutable values; state vectors are plain 1-D numpy arrays.
+State-vector validation and the order intervals that the criteria sample
+from.  State vectors are plain 1-D numpy arrays.
 
 Index convention: internally 0-based; reports and file formats use 1-based
 species indices.
@@ -10,7 +9,6 @@ species indices.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,82 +28,6 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def _same_dim(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = as_state(x)
-    y = as_state(y)
-    if x.size != y.size:
-        raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
-    return x, y
-
-
-def support(x) -> frozenset[int]:
-    """Indices of strictly positive coordinates.
-
-    Zero detection is exact (bitwise zero): maps of the form
-    T_i(x) = x_i * G_i(x) keep zero coordinates exactly zero, so facet
-    membership never needs a tolerance.
-    """
-    x = as_state(x)
-    return frozenset(int(i) for i in np.nonzero(x != 0.0)[0])
-
-
-class Ordering(enum.Enum):
-    """Outcome of comparing two points in the componentwise vector order."""
-
-    EQUAL = "equal"
-    LESS = "less"  # x < y in the cone order, x != y
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(x, y) -> Ordering:
-    """Componentwise partial-order comparison of two state vectors."""
-    x, y = _same_dim(x, y)
-    le = bool(np.all(x <= y))
-    ge = bool(np.all(x >= y))
-    if le and ge:
-        return Ordering.EQUAL
-    if le:
-        return Ordering.LESS
-    if ge:
-        return Ordering.GREATER
-    return Ordering.INCOMPARABLE
-
-
-def leq(x, y) -> bool:
-    """x <= y in every coordinate."""
-    x, y = _same_dim(x, y)
-    return bool(np.all(x <= y))
-
-
-def strictly_less_all(x, y) -> bool:
-    """x < y in every coordinate (the strongest strict relation)."""
-    x, y = _same_dim(x, y)
-    return bool(np.all(x < y))
-
-
-def strictly_greater_all(x, y) -> bool:
-    return strictly_less_all(y, x)
-
-
-def strictly_majorizes(x, y) -> bool:
-    """True iff x >= y and x_i > y_i wherever x_i > 0.
-
-    The domination x >= y is required, so the relation is vacuously true
-    only when x = y = 0.
-    """
-    x, y = _same_dim(x, y)
-    if not np.all(x >= y):
-        return False
-    pos = x > 0.0
-    return bool(np.all(x[pos] > y[pos]))
-
-
-def componentwise_max(x, y) -> np.ndarray:
-    x, y = _same_dim(x, y)
-    return np.maximum(x, y)
-
-
 @dataclass(frozen=True)
 class OrderInterval:
     """Closed order interval [lower, upper] in the cone."""
@@ -114,7 +36,8 @@ class OrderInterval:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo, hi = _same_dim(self.lower, self.upper)
+        lo = as_state(self.lower)
+        hi = as_state(self.upper, lo.size)
         if not np.all(lo <= hi):
             raise ValueError("order interval requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -124,35 +47,7 @@ class OrderInterval:
     def n(self) -> int:
         return self.lower.size
 
-    def contains(self, x) -> bool:
-        x = as_state(x, self.n)
-        return bool(np.all(self.lower <= x) and np.all(x <= self.upper))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Uniform samples from the box, shape (size, n)."""
         u = rng.random((size, self.n))
         return self.lower + u * (self.upper - self.lower)
-
-
-@dataclass(frozen=True)
-class RadialCoords:
-    """A nonzero point split into a unit-simplex direction and an L1 radius."""
-
-    direction: np.ndarray
-    radius: float
-
-    def reconstruct(self) -> np.ndarray:
-        return self.radius * self.direction
-
-
-def radial_project(x) -> RadialCoords:
-    """Split x != 0 into (x / sum(x), sum(x)).
-
-    The L1 normalization matches the radial projection onto the unit
-    simplex {d >= 0 : sum(d) = 1}.
-    """
-    x = as_state(x)
-    total = float(x.sum())
-    if total == 0.0:
-        raise ValueError("no radial projection at origin")
-    return RadialCoords(direction=x / total, radius=total)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import OrderInterval, as_state, support
+from .cone import OrderInterval, as_state
 from .models import (
     CompetitionModel,
     LeslieGowerModel,
@@ -25,15 +25,6 @@ from .models import (
 )
 
 STRICT_TIE_MARGIN = 1e-12  # strict inequalities fail at 0; ties below this are reported
-
-
-class SpectralConvergenceError(RuntimeError):
-    """Power iteration did not settle; carries the best estimate and bracket."""
-
-    def __init__(self, message: str, best: float, bracket: tuple[float, float]):
-        super().__init__(message)
-        self.best = best
-        self.bracket = bracket
 
 
 @dataclass
@@ -79,10 +70,6 @@ class CriteriaReport:
     @property
     def any_fail(self) -> bool:
         return any(c.verdict == "fail" for c in self.conditions)
-
-    @property
-    def any_inconclusive(self) -> bool:
-        return any(c.verdict == "inconclusive" for c in self.conditions)
 
     @property
     def all_ok(self) -> bool:
@@ -131,84 +118,13 @@ def competition_matrix(model: CompetitionModel, x) -> np.ndarray:
     return -(x / g)[..., :, None] * gp
 
 
-def char_poly_coefficients(M: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by the Faddeev-LeVerrier recursion.
+def spectral_radius(M: np.ndarray) -> float:
+    """Spectral radius rho(M), the largest eigenvalue modulus, by one dense eigensolve.
 
-    Returns ``c`` with ``c[0] = 1`` so the polynomial is
-    sum_k c[k] * lambda^(n-k); no eigendecomposition is involved.
+    Raises ``ValueError`` for a matrix that is not square or has non-finite
+    entries.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    aux = M.copy()
-    coeffs[1] = -np.trace(aux)
-    for k in range(2, n + 1):
-        aux = M @ (aux + coeffs[k - 1] * np.eye(n))
-        coeffs[k] = -np.trace(aux) / k
-    return coeffs
-
-
-def spectral_radius_charpoly(M: np.ndarray) -> float:
-    """Largest root modulus of the characteristic polynomial (companion roots)."""
-    M = _check_square(M)
-    if M.shape[0] == 1:
-        return abs(float(M[0, 0]))
-    roots = np.roots(char_poly_coefficients(M))
-    return float(np.max(np.abs(roots)))
-
-
-def power_iteration(
-    M: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[float, np.ndarray, bool]:
-    """Dominant eigenvalue of an entrywise-nonnegative matrix.
-
-    Iterates with the shift M + I, which makes the dominant eigenvalue of a
-    nonnegative matrix strictly dominant in modulus, and stops on Rayleigh
-    quotient drift below ``tol``.  Returns (rho, vector, converged).
-    """
-    M = _check_square(M)
-    if np.any(M < 0.0):
-        raise ValueError("power iteration requires an entrywise-nonnegative matrix")
-    n = M.shape[0]
-    v = np.full(n, 1.0 / n)
-    lam = float(v @ (M @ v) / (v @ v))
-    for _ in range(max_iter):
-        w = M @ v + v  # shifted multiply, (M + I) v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, v, True
-        v = w / norm
-        lam_new = float(v @ (M @ v) / (v @ v))
-        drift = abs(lam_new - lam)
-        lam = lam_new
-        if drift < tol * max(1.0, abs(lam)):
-            return lam, v, True
-    return lam, v, False
-
-
-def spectral_radius(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Spectral radius rho(M).
-
-    Small matrices (n <= 4) go through the characteristic polynomial;
-    larger nonnegative matrices use shifted power iteration (their dominant
-    eigenvalue is real and equals the radius); anything else falls back to a
-    dense eigensolve.
-    """
-    M = _check_square(M)
-    n = M.shape[0]
-    if n <= 4:
-        return spectral_radius_charpoly(M)
-    if np.all(M >= 0.0):
-        rho, _, converged = power_iteration(M, tol=tol, max_iter=max_iter)
-        if not converged:
-            raise SpectralConvergenceError(
-                f"power iteration did not converge in {max_iter} iterations",
-                best=rho,
-                bracket=(rho - tol * max(1.0, rho), rho + tol * max(1.0, rho)),
-            )
-        return rho
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    return float(np.max(np.abs(np.linalg.eigvals(_check_square(M)))))
 
 
 def _check_square(M) -> np.ndarray:
@@ -218,18 +134,6 @@ def _check_square(M) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     return M
-
-
-def gershgorin_row_check(model: CompetitionModel, x) -> bool:
-    """True iff every row sum of M(x) is < 1 (sum over j of M_ij)."""
-    M = competition_matrix(model, as_state(x, model.n))
-    return bool(np.all(M.sum(axis=1) < 1.0))
-
-
-def gershgorin_col_check(model: CompetitionModel, x) -> bool:
-    """True iff every column sum of M(x) is < 1 (sum over i of M_ij)."""
-    M = competition_matrix(model, as_state(x, model.n))
-    return bool(np.all(M.sum(axis=0) < 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +701,7 @@ def run_criteria(
     def guarded(cond_id, fn):
         try:
             return fn()
-        except (ModelEvaluationError, ValueError, SpectralConvergenceError) as exc:
+        except (ModelEvaluationError, ValueError) as exc:
             return ConditionResult(cond_id, "inconclusive", note=str(exc))
 
     region = default_region(q) if q is not None else None
@@ -827,7 +731,7 @@ def run_criteria(
     if q is not None:
         try:
             eq3a, eq3b = check_gershgorin_grid(model, grid_resolution)
-        except (ModelEvaluationError, ValueError, SpectralConvergenceError) as exc:
+        except (ModelEvaluationError, ValueError) as exc:
             eq3a = ConditionResult("Eq3a", "inconclusive", note=str(exc))
             eq3b = ConditionResult("Eq3b", "inconclusive", note=str(exc))
         conditions.append(eq3a)

@@ -8,6 +8,7 @@ every complaint names the offending field (1-based indices).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,30 +84,24 @@ def load_model_dict(data) -> LoadedModel:
         raise ModelFileError(
             f"unknown field {sorted(unknown)[0]!r} for model type '{family}'"
         )
-    n = _expect_int(data, "n", minimum=1)
+    n = _field(data, "n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ModelFileError("field 'n' must be an integer >= 1")
 
     try:
         if family == "may_oster":
             return LoadedModel(
-                family,
-                model=MayOsterModel(
-                    _number_list(data, "B", n), _number_matrix(data, "A", n)
-                ),
+                family, model=MayOsterModel(_vector(data, "B", n), _matrix(data, "A", n))
             )
         if family == "leslie_gower":
             return LoadedModel(
-                family,
-                model=LeslieGowerModel(
-                    _number_list(data, "C", n), _number_matrix(data, "A", n)
-                ),
+                family, model=LeslieGowerModel(_vector(data, "C", n), _matrix(data, "A", n))
             )
         if family == "neural_net":
-            gamma = _expect_number(data, "gamma")
+            gamma = _number(_field(data, "gamma"), "field 'gamma'")
             return LoadedModel(
                 family,
-                model=NeuralNetModel(
-                    _number_list(data, "B", n), _number_matrix(data, "A", n), gamma
-                ),
+                model=NeuralNetModel(_vector(data, "B", n), _matrix(data, "A", n), gamma),
             )
         system = _parse_fourier(data, n)
         return LoadedModel(family, system=system)
@@ -114,55 +109,45 @@ def load_model_dict(data) -> LoadedModel:
         raise ModelFileError(str(exc)) from exc
 
 
-def _expect_int(data: dict, key: str, minimum: int) -> int:
+def _field(data: dict, key: str):
     if key not in data:
         raise ModelFileError(f"missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ModelFileError(f"field {key!r} must be an integer >= {minimum}")
-    return value
+    return data[key]
 
 
-def _expect_number(data: dict, key: str) -> float:
-    if key not in data:
-        raise ModelFileError(f"missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ModelFileError(f"field {key!r} must be a number")
-    return float(value)
+def _number(value, name: str) -> float:
+    """The one number check: a finite JSON number, with ``name`` in every complaint.
+
+    JSON files may spell NaN and Infinity, and Python's parser accepts them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFileError(f"{name} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFileError(f"{name} must be finite, got {number}")
+    return number
 
 
-def _number_list(data: dict, key: str, n: int) -> list[float]:
-    if key not in data:
-        raise ModelFileError(f"missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, list) or len(value) != n:
-        raise ModelFileError(f"field {key!r} must be a list of {n} numbers")
-    out = []
-    for i, v in enumerate(value):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ModelFileError(f"field {key!r}[{i + 1}] must be a number")
-        out.append(float(v))
-    return out
+def _numbers(value, name: str, n: int | None = None) -> list[float]:
+    """A list of numbers, of length ``n`` when it is given."""
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        count = "" if n is None else f"{n} "
+        raise ModelFileError(f"{name} must be a list of {count}numbers")
+    return [_number(v, f"{name}[{k + 1}]") for k, v in enumerate(value)]
 
 
-def _number_matrix(data: dict, key: str, n: int) -> list[list[float]]:
-    if key not in data:
-        raise ModelFileError(f"missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, list) or len(value) != n:
+def _vector(data: dict, key: str, n: int) -> list[float]:
+    return _numbers(_field(data, key), f"field {key!r}", n)
+
+
+def _matrix(data: dict, key: str, n: int) -> list[list[float]]:
+    rows = _field(data, key)
+    if not isinstance(rows, list) or len(rows) != n:
         raise ModelFileError(f"field {key!r} must be an {n}x{n} matrix")
-    out = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != n:
-            raise ModelFileError(f"field {key!r}[{i + 1}] must be a list of {n} numbers")
-        out_row = []
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ModelFileError(f"field {key!r}[{i + 1}][{j + 1}] must be a number")
-            out_row.append(float(v))
-        out.append(out_row)
-    return out
+    return [_numbers(row, f"field {key!r}[{i + 1}]", n) for i, row in enumerate(rows)]
 
 
 def _parse_fourier(data: dict, n: int) -> PeriodicLVSystem:
@@ -197,26 +182,17 @@ def _parse_fourier(data: dict, n: int) -> PeriodicLVSystem:
 
 
 def _parse_series(entry, where: str) -> FourierSeries:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return FourierSeries(float(entry))
-    if not isinstance(entry, dict):
+    if isinstance(entry, dict):
+        unknown = set(entry) - {"const", "cos", "sin"}
+        if unknown:
+            raise ModelFileError(f"unknown field {sorted(unknown)[0]!r} in {where}")
+        if "const" not in entry:
+            raise ModelFileError(f"{where} is missing 'const'")
+        return FourierSeries(
+            _number(entry["const"], f"{where}.const"),
+            cos=_numbers(entry.get("cos", []), f"{where}.cos"),
+            sin=_numbers(entry.get("sin", []), f"{where}.sin"),
+        )
+    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise ModelFileError(f"{where} must be a number or an object with 'const'")
-    unknown = set(entry) - {"const", "cos", "sin"}
-    if unknown:
-        raise ModelFileError(f"unknown field {sorted(unknown)[0]!r} in {where}")
-    if "const" not in entry:
-        raise ModelFileError(f"{where} is missing 'const'")
-    const = entry["const"]
-    if not isinstance(const, (int, float)) or isinstance(const, bool):
-        raise ModelFileError(f"{where}.const must be a number")
-
-    def coeffs(key):
-        vals = entry.get(key, [])
-        if not isinstance(vals, list):
-            raise ModelFileError(f"{where}.{key} must be a list of numbers")
-        for k, v in enumerate(vals):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ModelFileError(f"{where}.{key}[{k + 1}] must be a number")
-        return [float(v) for v in vals]
-
-    return FourierSeries(float(const), cos=coeffs("cos"), sin=coeffs("sin"))
+    return FourierSeries(_number(entry, where))

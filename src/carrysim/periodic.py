@@ -9,11 +9,11 @@ of the time-one map well defined even on the boundary facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import as_state, strictly_less_all
+from .cone import as_state
 from .criteria import ConditionResult
 from .models import CompetitionModel, ModelEvaluationError, ModelParameterError
 
@@ -55,14 +55,13 @@ class FourierSeries:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
+    """Classical RK4 with a fixed number of steps per unit time (one period)."""
+
     steps_per_period: int = 256
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.steps_per_period < 64:
             raise ValueError("steps_per_period must be >= 64")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
 
 
 class PeriodicLVSystem:
@@ -119,9 +118,6 @@ class PeriodicLVSystem:
         """Growth rates B(t) - A(t) u, broadcasting over batches of u."""
         b, a = self.coefficients_at(t)
         return b - u @ a.T
-
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        return u * self.per_capita(t, u)
 
     def coefficient_grid(self, samples: int = 1024) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, B, A) sampled on a uniform period grid; shapes (T,), (T,n), (T,n,n)."""
@@ -187,7 +183,6 @@ def _log_gain(
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (len(times), n)
-    error_estimate: float | None = None
 
 
 def integrate(
@@ -195,24 +190,14 @@ def integrate(
     x0,
     t_span: tuple[float, float] = (0.0, 1.0),
     config: IntegrationConfig | None = None,
-    estimate_error: bool = False,
 ) -> Trajectory:
-    """Integrate one trajectory, reporting states at every step boundary.
-
-    With ``estimate_error`` the integration is repeated at half the step and
-    the endpoint difference is reported as a local-accuracy estimate.
-    """
+    """Integrate one trajectory, reporting states at every step boundary."""
     config = config or IntegrationConfig()
     x0 = as_state(x0, system.n)
     _, times, path = _log_gain(system, x0, t_span, config, record=True)
     states = x0 * np.exp(path)
     states[:, x0 == 0.0] = 0.0
-    err = None
-    if estimate_error:
-        fine = IntegrationConfig(steps_per_period=2 * config.steps_per_period)
-        ell_fine = _log_gain(system, x0, t_span, fine)
-        err = float(np.max(np.abs(x0 * np.exp(ell_fine) - states[-1])))
-    return Trajectory(times=times, states=states, error_estimate=err)
+    return Trajectory(times=times, states=states)
 
 
 class PoincareMapModel(CompetitionModel):
@@ -269,13 +254,6 @@ class PoincareMapModel(CompetitionModel):
             )
         self._q = r
         return r
-
-
-def poincare_map(
-    system: PeriodicLVSystem, config: IntegrationConfig | None = None
-) -> PoincareMapModel:
-    """Wrap the time-one flow as a :class:`CompetitionModel`."""
-    return PoincareMapModel(system, config)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +355,6 @@ def check_a_conditions(
     return results
 
 
-def is_competitive(system: PeriodicLVSystem, time_samples: int = 1024) -> tuple[bool, ConditionResult]:
-    """Whether all coefficient functions stay positive; returns the A1 record."""
-    records = check_a_conditions(system, time_samples)
-    a1 = records[0]
-    a4 = records[3]
-    ok = a1.ok and a4.ok
-    return ok, a1 if not a1.ok else a4
-
-
 # ---------------------------------------------------------------------------
 # ratio monotonicity of ordered solutions
 # ---------------------------------------------------------------------------
@@ -429,7 +398,7 @@ def wang_jiang_check(
     v0 = as_state(v0, system.n)
     if u0.sum() == 0.0:
         raise ValueError("u0 must be nonzero")
-    if not strictly_less_all(u0, v0):
+    if not np.all(u0 < v0):
         raise ValueError("wang-jiang check requires u0 strictly below v0 in every coordinate")
 
     traj_u = integrate(system, u0, t_span, config)

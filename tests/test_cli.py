@@ -58,6 +58,12 @@ def test_check_exit_codes_on_bundled_models(name, extra, code, tmp_path, capsys)
         ["sweep1d", "--b-min", "1", "--b-max", "2", "--steps", "10", "--burn-in", "10"],
         ["wangjiang", "--model", model("periodic_lv2"), "--t-span", "0"],
         ["frobnicate"],
+        # each subcommand takes only the flags it reads
+        ["check", "--model", model("may2"), "--tol", "1e-8"],
+        ["simplex", "--model", model("may2"), "--format", "csv"],
+        ["simulate", "--model", model("may2"), "--x0", "0.1,0.2", "--seed", "1"],
+        ["sweep1d", "--b-min", "1", "--b-max", "2", "--grid", "8"],
+        ["wangjiang", "--model", model("periodic_lv2"), "--samples", "10"],
     ],
 )
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
@@ -137,4 +143,36 @@ def test_simplex_reports_a_blown_up_integration_on_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: integration lost finiteness at t = ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_check_rejects_a_non_finite_fourier_coefficient(tmp_path, capsys):
+    description = json.loads(Path(model("periodic_lv2")).read_text())
+    description["fourier"]["B"][1]["cos"] = [float("nan")]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(description))  # written as the JSON literal NaN
+    out = tmp_path / "report.json"
+    assert main(["check", "--model", str(path), "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: fourier.B[2].cos[1] must be finite, got nan\n"
+    assert not out.exists()
+
+
+def test_wangjiang_refuses_a_species_without_self_competition(tmp_path, capsys):
+    # A1 and A4 pass, A2 fails: the starts B_i / A_ii would divide by zero
+    description = {
+        "type": "periodic_lv",
+        "n": 2,
+        "fourier": {"B": [1.0, 0.8], "A": [[0.0, 0.3], [0.2, 1.0]]},
+    }
+    path = tmp_path / "no_self.json"
+    path.write_text(json.dumps(description))
+    out = tmp_path / "wangjiang.json"
+    assert main(["wangjiang", "--model", str(path), "--pairs", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refusing: system is not competitive; witness ")
+    assert err.count("\n") == 1
+    witness = json.loads(err.split("witness ", 1)[1])
+    assert witness["id"] == "A2" and witness["verdict"] == "fail"
+    assert witness["witness"]["i"] == 1
     assert not out.exists()

@@ -1,127 +1,43 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
-from carrysim.cone import (
-    OrderInterval,
-    Ordering,
-    compare,
-    componentwise_max,
-    leq,
-    radial_project,
-    strictly_greater_all,
-    strictly_majorizes,
-    support,
-)
-
-coords = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+from carrysim.cone import OrderInterval, as_state
+from carrysim.criteria import _support_groups
 
 
-def vectors(n):
-    return st.lists(coords, min_size=n, max_size=n).map(np.array)
-
-
-dims = st.integers(min_value=1, max_value=5)
+def supports(points):
+    """The nonempty supports among the points, each with its row indices."""
+    pts = np.array(points, dtype=float)
+    return {tuple(support.tolist()): rows.tolist() for support, rows in _support_groups(pts)}
 
 
 def test_support_examples():
-    assert support([0.0, 2.5, 0.0]) == frozenset({1})
-    assert support([0.0, 0.0, 0.0]) == frozenset()
-    assert support([1.0, 0.5]) == frozenset({0, 1})
+    assert supports([[0.0, 2.5, 0.0]]) == {(1,): [0]}
+    assert supports([[0.0, 0.0, 0.0]]) == {}  # the origin has no support
+    assert supports([[1.0, 0.5], [0.0, 3.0], [2.0, 1.0]]) == {(0, 1): [0, 2], (1,): [1]}
 
 
 def test_support_is_exact():
-    assert support([1e-320, 0.0]) == frozenset({0})
+    assert supports([[1e-320, 0.0]]) == {(0,): [0]}
 
 
-def test_compare_examples():
-    assert compare([1, 2], [1, 2]) is Ordering.EQUAL
-    assert compare([2, 3], [1, 2]) is Ordering.GREATER
-    assert strictly_greater_all([2, 3], [1, 2])
-    assert compare([2, 1], [1, 2]) is Ordering.INCOMPARABLE
-    assert compare([1, 2], [2, 3]) is Ordering.LESS
-
-
-def test_compare_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        compare([1, 2], [1, 2, 3])
-
-
-def test_strictly_majorizes_examples():
-    assert strictly_majorizes([1.0, 0.0], [0.5, 0.0])
-    assert not strictly_majorizes([1.0, 1.0], [1.0, 0.0])
-    assert strictly_majorizes([0.0, 0.0], [0.0, 0.0])  # vacuous at the origin
-    # domination is required, not just strictness on the support
-    assert not strictly_majorizes([1.0, 0.0], [0.5, 0.2])
-
-
-def test_radial_project_examples():
-    rc = radial_project([2.0, 2.0])
-    assert rc.radius == pytest.approx(4.0, abs=0)
-    assert np.allclose(rc.direction, [0.5, 0.5], atol=0)
-    rc = radial_project([3.0, 0.0])
-    assert rc.radius == 3.0
-    assert np.array_equal(rc.direction, [1.0, 0.0])
-    rc = radial_project([1.0, 2.0, 1.0])
-    assert np.allclose(rc.direction, [0.25, 0.5, 0.25])
-    assert rc.radius == 4.0
-
-
-def test_radial_project_origin_rejected():
-    with pytest.raises(ValueError, match="no radial projection at origin"):
-        radial_project([0.0, 0.0])
+def test_as_state_rejections():
+    with pytest.raises(ValueError, match="must be 1-D"):
+        as_state([[0.1, 0.2]])
+    with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
+        as_state([0.1, 0.2], n=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_state([0.1, bad], n=2)
+    with pytest.raises(ValueError, match="negative"):
+        as_state([0.1, -1e-300], n=2)
 
 
 def test_order_interval():
     box = OrderInterval(np.zeros(2), np.array([1.0, 2.0]))
-    assert box.contains([0.5, 1.0])
-    assert not box.contains([0.5, 2.5])
+    assert box.n == 2
     with pytest.raises(ValueError):
         OrderInterval(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     pts = box.sample(np.random.default_rng(0), 50)
     assert pts.shape == (50, 2)
     assert np.all(pts >= 0) and np.all(pts <= [1.0, 2.0])
-
-
-@settings(max_examples=200)
-@given(dims.flatmap(vectors))
-def test_radial_reconstruction(x):
-    if x.sum() == 0.0:
-        return
-    rc = radial_project(x)
-    rebuilt = rc.reconstruct()
-    assert np.all(np.abs(rebuilt - x) <= 1e-12 * np.maximum(np.abs(x), 1e-300))
-    assert abs(rc.direction.sum() - 1.0) <= 1e-12
-
-
-@settings(max_examples=200)
-@given(dims.flatmap(lambda n: st.tuples(vectors(n), vectors(n), vectors(n))))
-def test_compare_is_partial_order(triple):
-    x, y, z = triple
-    assert compare(x, x) is Ordering.EQUAL
-    if compare(x, y) is Ordering.LESS:
-        assert compare(y, x) is Ordering.GREATER
-    if leq(x, y) and leq(y, z):
-        assert leq(x, z)
-    if leq(x, y) and leq(y, x):
-        assert compare(x, y) is Ordering.EQUAL
-
-
-@settings(max_examples=200)
-@given(dims.flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
-def test_support_of_max_is_union(pair):
-    x, y = pair
-    assert support(componentwise_max(x, y)) == support(x) | support(y)
-
-
-@settings(max_examples=200)
-@given(dims.flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
-def test_strict_majorization_implies_greater(pair):
-    x, y = pair
-    if strictly_majorizes(x, y):
-        rel = compare(x, y)
-        if np.all(x == 0) and np.all(y == 0):
-            assert rel is Ordering.EQUAL
-        else:
-            assert rel is Ordering.GREATER

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from carrysim.cone import OrderInterval
 from carrysim.criteria import (
-    char_poly_coefficients,
     check_attractor_bound,
     check_axial,
     check_c0,
@@ -15,12 +13,8 @@ from carrysim.criteria import (
     check_sublinearity,
     competition_matrix,
     family_criterion,
-    gershgorin_col_check,
-    gershgorin_row_check,
-    power_iteration,
     run_criteria,
     spectral_radius,
-    spectral_radius_charpoly,
 )
 from carrysim.models import LeslieGowerModel, MayOsterModel, NeuralNetModel
 
@@ -99,31 +93,15 @@ class TestSpectralRadius:
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0
 
-    def test_charpoly_coefficients(self):
-        M = np.array([[2.0, 1.0], [0.0, 3.0]])
-        # lambda^2 - 5 lambda + 6
-        assert np.allclose(char_poly_coefficients(M), [1.0, -5.0, 6.0], atol=1e-12)
+    def test_rejects_non_square_and_non_finite(self):
+        for M in (np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match="square matrix"):
+                spectral_radius(M)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                spectral_radius(np.array([[0.5, bad], [0.1, 0.2]]))
 
-    def test_power_iteration_positive_matrix(self):
-        rho, vec, converged = power_iteration(np.array([[0.5, 0.1], [0.2, 0.4]]))
-        assert converged
-        assert rho == pytest.approx(0.6, abs=1e-10)
-        assert np.all(vec > 0)
-
-    def test_power_iteration_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            power_iteration(np.array([[1.0, -0.5], [0.1, 0.2]]))
-
-    def test_power_matches_charpoly_on_positive_matrices(self):
-        rng = np.random.default_rng(20)
-        for n in (2, 3):
-            for _ in range(25):
-                M = rng.random((n, n)) + 0.05
-                rho_p, _, ok = power_iteration(M)
-                assert ok
-                assert abs(rho_p - spectral_radius_charpoly(M)) < 1e-8
-
-    def test_large_matrices_dispatch_to_power(self):
+    def test_six_by_six_matches_eigensolve(self):
         rng = np.random.default_rng(21)
         M = rng.random((6, 6)) + 0.01
         assert spectral_radius(M) == pytest.approx(eig_radius(M), abs=1e-9)
@@ -158,14 +136,13 @@ class TestGershgorinChecks:
     def test_row_sums_at_q(self, may2):
         M = competition_matrix(may2, np.array([0.5, 0.4]))
         assert np.allclose(M.sum(axis=1), [0.6, 0.52], rtol=1e-14)
-        assert gershgorin_row_check(may2, np.array([0.5, 0.4]))
-        assert gershgorin_col_check(may2, np.array([0.5, 0.4]))
+        assert np.allclose(M.sum(axis=0), [0.62, 0.5], rtol=1e-14)
 
     def test_true_at_origin(self, may2):
-        assert gershgorin_row_check(may2, np.zeros(2))
+        assert np.all(competition_matrix(may2, np.zeros(2)).sum(axis=1) < 1.0)
 
     def test_false_when_sums_exceed_one(self, may1_b3):
-        assert not gershgorin_row_check(may1_b3, np.array([3.0]))
+        assert competition_matrix(may1_b3, np.array([3.0])).sum(axis=1)[0] >= 1.0
 
     def test_row_check_implies_contraction(self):
         # whenever the row-sum test passes, the spectral radius is below 1
@@ -176,9 +153,9 @@ class TestGershgorinChecks:
                 0.2 + rng.random(n), 0.5 * rng.random((n, n)) + 0.1 + np.eye(n)
             )
             x = rng.random(n) * 1.5 * model.axial_fixed_points()
-            if gershgorin_row_check(model, x):
-                rho = spectral_radius(competition_matrix(model, x))
-                assert rho < 1.0 + 1e-12
+            M = competition_matrix(model, x)
+            if np.all(M.sum(axis=1) < 1.0):
+                assert spectral_radius(M) < 1.0 + 1e-12
 
 
 class TestSpectralGrid:

@@ -109,6 +109,25 @@ def test_missing_n_rejected():
         load_model_dict(data)
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+)
+def test_non_finite_numbers_rejected(literal, tmp_path):
+    data = may_dict()
+    data["B"][1] = "VALUE"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data).replace('"VALUE"', literal))
+    with pytest.raises(ModelFileError, match=r"^field 'B'\[2\] must be finite"):
+        load_model_file(path)
+    data = periodic_dict()
+    data["fourier"]["B"][1]["sin"] = [0.1, "VALUE"]
+    path.write_text(json.dumps(data).replace('"VALUE"', literal))
+    with pytest.raises(ModelFileError, match=r"^fourier\.B\[2\]\.sin\[2\] must be finite"):
+        load_model_file(path)
+
+
 def test_fourier_unknown_key_rejected():
     data = periodic_dict()
     data["fourier"]["B"][0]["tan"] = [1.0]

@@ -7,9 +7,9 @@ from carrysim.periodic import (
     FourierSeries,
     IntegrationConfig,
     PeriodicLVSystem,
+    PoincareMapModel,
     check_a_conditions,
     integrate,
-    poincare_map,
     wang_jiang_check,
 )
 
@@ -60,12 +60,6 @@ class TestIntegration:
         traj = integrate(vlper2, [0.0, 0.0], (0.0, 2.0))
         assert np.all(traj.states == 0.0)
 
-    def test_error_estimate_reported(self):
-        system = PeriodicLVSystem([1.0], [[1.0]])
-        traj = integrate(system, [0.5], (0.0, 1.0), IntegrationConfig(64), estimate_error=True)
-        assert traj.error_estimate is not None
-        assert traj.error_estimate < 1e-8
-
     def test_fourth_order_convergence(self):
         system = PeriodicLVSystem([2.0], [[1.6]])
         exact = logistic_exact(1.0, 1.6, 1.25, 0.2)
@@ -83,37 +77,37 @@ class TestIntegration:
 class TestPoincareMap:
     def test_scalar_fixed_point_is_capacity(self):
         system = PeriodicLVSystem([1.0], [[1.0]])
-        pm = poincare_map(system, IntegrationConfig(256))
+        pm = PoincareMapModel(system, IntegrationConfig(256))
         assert pm.axial_fixed_points()[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_autonomous_reduces_to_time_one_flow(self):
         system = PeriodicLVSystem([1.0, 0.8], [[1.0, 0.3], [0.2, 1.1]])
-        pm = poincare_map(system, IntegrationConfig(128))
+        pm = PoincareMapModel(system, IntegrationConfig(128))
         x0 = np.array([0.2, 0.3])
         traj = integrate(system, x0, (0.0, 1.0), IntegrationConfig(128))
         assert np.allclose(pm.step(x0), traj.states[-1], atol=1e-14)
 
     def test_facet_preservation_exact(self, vlper2):
-        pm = poincare_map(vlper2, IntegrationConfig(128))
+        pm = PoincareMapModel(vlper2, IntegrationConfig(128))
         image = pm.step(np.array([0.3, 0.0]))
         assert image[1] == 0.0
         assert image[0] > 0
 
     def test_double_step_equals_two_period_integration(self, vlper2):
-        pm = poincare_map(vlper2, IntegrationConfig(256))
+        pm = PoincareMapModel(vlper2, IntegrationConfig(256))
         x0 = np.array([0.15, 0.2])
         twice = pm.step(pm.step(x0))
         traj = integrate(vlper2, x0, (0.0, 2.0), IntegrationConfig(256))
         assert np.all(np.abs(twice - traj.states[-1]) < 1e-9)
 
     def test_growth_defined_on_facets(self, vlper2):
-        g = poincare_map(vlper2, IntegrationConfig(128)).growth(np.array([0.0, 0.0]))
+        g = PoincareMapModel(vlper2, IntegrationConfig(128)).growth(np.array([0.0, 0.0]))
         # with the species absent the gain integrates just B_i(t), whose
         # oscillating parts vanish over one period
         assert np.allclose(g, np.exp([1.0, 0.8]), rtol=1e-6)
 
     def test_criteria_report_runs_on_poincare_map(self, vlper2):
-        pm = poincare_map(vlper2, IntegrationConfig(64))
+        pm = PoincareMapModel(vlper2, IntegrationConfig(64))
         report = run_criteria(pm, grid_resolution=6, samples=300, seed=42,
                               inverse_positivity_points=10)
         assert report["C0"].verdict == "pass"
@@ -123,7 +117,7 @@ class TestPoincareMap:
     def test_axial_failure_when_growth_cannot_balance(self):
         # negative mean gain drives the axis to extinction: no fixed point
         system = PeriodicLVSystem([FourierSeries(-0.5, cos=(0.1,))], [[1.0]])
-        pm = poincare_map(system, IntegrationConfig(64))
+        pm = PoincareMapModel(system, IntegrationConfig(64))
         with pytest.raises(ModelParameterError, match="no axial fixed point"):
             pm.axial_fixed_points()
 
