@@ -4,7 +4,6 @@ from .cone import OrderInterval
 from .criteria import (
     CompetitionModel,
     ConditionResult,
-    CriteriaReport,
     competition_matrix,
     run_criteria,
     spectral_radius,

@@ -1,9 +1,19 @@
 """Command-line interface: check, simplex, simulate, sweep1d, wangjiang.
 
 All randomness flows through one seed (default 42) echoed into every output;
-identical flags and seed produce byte-identical files.  Exit codes: 0 all
-pass, 1 failure, 2 inconclusive, 3 surface did not converge, 64 malformed
-model file or usage error.
+identical flags and seed produce byte-identical files.  Exit codes, 0 where
+no rule below applies:
+
+- ``check``: 1 when any condition fails, else 2 when any is inconclusive.
+- ``simplex``: 1 when the criteria pre-check has a fail (``--force`` skips
+  it); then 3 when the surface did not converge or degenerated; then 1 when
+  it is not unordered or fails the asymptotic or the axial check.  For
+  n >= 4 the point cloud exits 1 when it is not unordered.
+- ``wangjiang``: 1 when the system is not competitive or a pair fails.
+- Every command: 64 for a usage error or a malformed model file, with one
+  ``error:`` line (an ``--out`` outside an existing directory is refused
+  before the model is read); 1 with one ``error:`` line when a model
+  evaluation or an output write fails.
 """
 
 from __future__ import annotations
@@ -77,13 +87,11 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
 
 
-def _ode_steps(text: str) -> int:
-    steps = _int_at_least(1)(text)
+def _ode_steps(text: str) -> IntegrationConfig:
     try:
-        IntegrationConfig(steps_per_period=steps)
+        return IntegrationConfig(steps_per_period=_int_at_least(1)(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return steps
 
 
 def _fmt(value: float) -> str:
@@ -105,7 +113,10 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         "--samples": dict(type=_int_at_least(1), default=10_000),
         "--max-iter": dict(type=_int_at_least(1), default=5_000),
         "--format": dict(choices=("json", "csv"), default="json"),
-        "--ode-steps": dict(type=_ode_steps, default=256, help="RK4 steps per period"),
+        "--ode-steps": dict(
+            type=_ode_steps, default=IntegrationConfig(), dest="integration",
+            metavar="ODE_STEPS", help="RK4 steps per period",
+        ),
     }
     for name in names:
         sub.add_argument(name, **flags[name])
@@ -166,6 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            raise UsageError(f"--out: {Path(args.out).parent} is not a directory")
         return args.func(args)
     except (UsageError, ModelFileError, ModelParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -173,30 +186,30 @@ def main(argv=None) -> int:
     except SurfaceDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ModelEvaluationError as exc:
+    except (ModelEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 
-def _collect_conditions(loaded: LoadedModel, args) -> list:
-    config = IntegrationConfig(steps_per_period=args.ode_steps)
-    conditions = []
-    if loaded.system is not None:
-        conditions.extend(check_a_conditions(loaded.system))
-    model = loaded.map_model(config)
-    report = run_criteria(
-        model,
-        grid_resolution=args.grid or 16,
-        samples=args.samples,
-        seed=args.seed,
+def _collect_conditions(loaded: LoadedModel, model, args) -> list:
+    """A1-A4 of a periodic system, then every criterion on the map ``model``."""
+    conditions = [] if loaded.system is None else check_a_conditions(loaded.system)
+    return conditions + run_criteria(
+        model, grid_resolution=args.grid or 16, samples=args.samples, seed=args.seed
     )
-    conditions.extend(report.conditions)
-    return conditions
+
+
+def _verdict_code(conditions) -> int:
+    """Any fail: 1; else any inconclusive: 2; else 0."""
+    verdicts = {c.verdict for c in conditions}
+    if "fail" in verdicts:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if "inconclusive" in verdicts else EXIT_OK
 
 
 def cmd_check(args) -> int:
     loaded = load_model_file(args.model)
-    conditions = _collect_conditions(loaded, args)
+    conditions = _collect_conditions(loaded, loaded.map_model(args.integration), args)
 
     payload = {
         "model": str(args.model),
@@ -220,25 +233,19 @@ def cmd_check(args) -> int:
         extra = "" if c.worst is None else f"  (worst {c.worst:.6g})"
         print(f"{c.id}: {c.verdict}{extra}")
     print(f"report written to {out}")
-
-    if any(c.verdict == "fail" for c in conditions):
-        return EXIT_FAIL
-    if any(c.verdict == "inconclusive" for c in conditions):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _verdict_code(conditions)
 
 
 def cmd_simplex(args) -> int:
     loaded = load_model_file(args.model)
-    config = IntegrationConfig(steps_per_period=args.ode_steps)
-    model = loaded.map_model(config)
+    model = loaded.map_model(args.integration)
     if model.n > 1 and args.grid is not None and args.grid < 2:
         raise UsageError(f"--grid must be >= 2 for a surface of {model.n} species")
 
     if not args.force:
-        conditions = _collect_conditions(loaded, args)
-        failing = [c.id for c in conditions if c.verdict == "fail"]
-        if failing:
+        conditions = _collect_conditions(loaded, model, args)
+        if _verdict_code(conditions) == EXIT_FAIL:
+            failing = [c.id for c in conditions if c.verdict == "fail"]
             print(
                 f"criteria failed ({', '.join(failing)}); re-run with --force "
                 "to compute anyway",
@@ -278,9 +285,7 @@ def cmd_simplex(args) -> int:
         if not surface.converged:
             print("surface did NOT converge; results are best-effort", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        if not (verification.unordered.ok and verification.asymptotic.passed):
-            return EXIT_FAIL
-        return EXIT_OK
+        return EXIT_OK if verification.all_ok else EXIT_FAIL
 
     cloud = compute_attractor_cloud(
         model, n_points=args.samples, steps=200, seed=args.seed
@@ -321,8 +326,7 @@ def cmd_simulate(args) -> int:
     n = loaded.n
 
     if loaded.system is not None:
-        config = IntegrationConfig(steps_per_period=args.ode_steps)
-        traj = integrate(loaded.system, x0, (0.0, float(args.steps)), config)
+        traj = integrate(loaded.system, x0, (0.0, float(args.steps)), args.integration)
         with open(out, "w", newline="") as fh:
             fh.write("t," + ",".join(f"u_{i + 1}" for i in range(n)) + "\n")
             for t, row in zip(traj.times, traj.states):
@@ -368,8 +372,7 @@ def cmd_sweep1d(args) -> int:
 def cmd_wangjiang(args) -> int:
     loaded = load_model_file(args.model)
     if loaded.system is None:
-        print("error: wangjiang requires a periodic_lv model", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("wangjiang requires a periodic_lv model")
     system = loaded.system
     # Wang & Jiang's ratio argument needs A1 (A_ij >= 0), A2 (A_ii > 0) and
     # A4 (B_i > 0); the starts below are scaled by B_i / A_ii.
@@ -383,7 +386,6 @@ def cmd_wangjiang(args) -> int:
         )
         return EXIT_FAIL
 
-    config = IntegrationConfig(steps_per_period=args.ode_steps)
     rng = np.random.default_rng(args.seed)
     base = np.array(
         [b.const for b in system.B]
@@ -394,7 +396,7 @@ def cmd_wangjiang(args) -> int:
     for _ in range(args.pairs):
         u0 = base * (0.05 + 0.25 * rng.random(system.n))
         v0 = u0 * (1.3 + 0.7 * rng.random(system.n))
-        result = wang_jiang_check(system, u0, v0, (0.0, args.t_span), config)
+        result = wang_jiang_check(system, u0, v0, (0.0, args.t_span), args.integration)
         rec = result.to_dict()
         rec["u0"] = u0.tolist()
         rec["v0"] = v0.tolist()

@@ -10,7 +10,7 @@ witness that reproduces the violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,10 @@ from .models import (
 )
 
 STRICT_TIE_MARGIN = 1e-12  # strict inequalities fail at 0; ties below this are reported
+RETROTONE_MIN_PAIRS = 100  # C3 is inconclusive on fewer accepted pairs
+AXIAL_STEPS = 1_000  # C4 iterates each axis start this often ...
+AXIAL_TOL = 1e-8  # ... to come within this of q_i
+INVPOS_POINTS = 100  # random InvPos probe points in (0, q], besides q and q_i e_i
 
 
 @dataclass
@@ -53,34 +57,6 @@ class ConditionResult:
         if self.note:
             record["note"] = self.note
         return record
-
-
-@dataclass
-class CriteriaReport:
-    conditions: list[ConditionResult]
-    seed: int
-    metadata: dict = field(default_factory=dict)
-
-    def __getitem__(self, cond_id: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.id == cond_id:
-                return c
-        raise KeyError(cond_id)
-
-    @property
-    def any_fail(self) -> bool:
-        return any(c.verdict == "fail" for c in self.conditions)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "metadata": _jsonable(self.metadata),
-            "conditions": [c.to_record() for c in self.conditions],
-        }
 
 
 def _jsonable(obj):
@@ -314,7 +290,6 @@ def check_retrotone(
     region: OrderInterval | None = None,
     samples: int = 10_000,
     seed: int = 42,
-    min_accepted: int = 100,
 ) -> ConditionResult:
     """Backward monotonicity: T(x) majorizing T(y) forces x to strictly majorize y.
 
@@ -343,14 +318,14 @@ def check_retrotone(
     accepted = np.all(tx >= ty, axis=1) & np.any(tx > ty, axis=1)
     xs, ys = xs[accepted], ys[accepted]
     n_acc = int(xs.shape[0])
-    if n_acc < min_accepted:
+    if n_acc < RETROTONE_MIN_PAIRS:
         return ConditionResult(
             "C3",
             "inconclusive",
             samples=n_acc,
             seed=seed,
             note=f"only {n_acc} pairs satisfied the majorization filter "
-            f"(need {min_accepted})",
+            f"(need {RETROTONE_MIN_PAIRS})",
         )
 
     diffs = xs - ys
@@ -382,15 +357,13 @@ def check_retrotone(
     )
 
 
-def check_axial(
-    model: CompetitionModel, steps: int = 1_000, tol: float = 1e-8
-) -> ConditionResult:
+def check_axial(model: CompetitionModel) -> ConditionResult:
     """Axial fixed points exist, satisfy T(q_i e_i) = q_i e_i, and attract
     on their axis (checked from 0.1 q_i and 2 q_i).
 
-    All 2n axis starts iterate as one batch; a row stops updating once it
-    is within ``tol`` of q_i.  A fail reports the first failing (i, start)
-    pair in the order i = 1..n, 0.1 q_i before 2 q_i.
+    All 2n axis starts iterate as one batch for ``AXIAL_STEPS``; a row stops
+    updating once it is within ``AXIAL_TOL`` of q_i.  A fail reports the
+    first failing (i, start) pair in the order i = 1..n, 0.1 q_i before 2 q_i.
     """
     try:
         q = model.verified_axial_fixed_points()
@@ -401,15 +374,15 @@ def check_axial(
     starts = np.column_stack([0.1 * q, 2.0 * q]).ravel()
     x = starts.copy()
     active = np.ones(x.size, dtype=bool)
-    for _ in range(steps):
+    for _ in range(AXIAL_STEPS):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         x[rows] = model.axis_step(axis[rows], x[rows])
-        active[rows] = ~(np.abs(x[rows] - q[axis[rows]]) < tol)
+        active[rows] = ~(np.abs(x[rows] - q[axis[rows]]) < AXIAL_TOL)
 
     gaps = np.abs(x - q[axis])
-    failing = np.flatnonzero(gaps >= tol)
+    failing = np.flatnonzero(gaps >= AXIAL_TOL)
     if failing.size:
         k = int(failing[0])
         i = int(axis[k])
@@ -423,7 +396,7 @@ def check_axial(
                 "final": float(x[k]),
                 "q_i": float(q[i]),
             },
-            samples=steps,
+            samples=AXIAL_STEPS,
             note="axis trajectory did not converge to the axial fixed point",
         )
     return ConditionResult(
@@ -431,7 +404,7 @@ def check_axial(
         "pass_sampled",
         worst=float(np.fmax.reduce(gaps, initial=0.0)),
         witness={"q": q},
-        samples=2 * model.n * steps,
+        samples=2 * model.n * AXIAL_STEPS,
     )
 
 
@@ -537,17 +510,13 @@ def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult
     )
 
 
-def check_spectral_grid(
-    model: CompetitionModel,
-    grid_resolution: int = 16,
-    refine: bool = True,
-) -> ConditionResult:
+def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> ConditionResult:
     """Spectral radius of the competition matrix stays below 1 on (0, q].
 
     Evaluates rho(M(x)) on a regular grid (origin excluded by one grid
-    step), optionally refines at 4x density around the argmax, and labels
-    the verdict as sampled.  M is evaluated in one batch per grid; the
-    spectral radius is taken matrix by matrix.
+    step), refines at 4x density around the argmax, and labels the verdict
+    as sampled.  M is evaluated in one batch per grid; the spectral radius
+    is taken matrix by matrix.
     """
     q = model.verified_axial_fixed_points()
     pts = _grid_points(q, grid_resolution)
@@ -557,23 +526,19 @@ def check_spectral_grid(
     witness = pts[worst_idx]
     total = int(pts.shape[0])
 
-    if refine:
-        step = q / grid_resolution
-        offsets = np.linspace(-1.0, 1.0, 9)
-        axes = [
-            np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i])
-            for i in range(model.n)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        refined = np.stack([m.ravel() for m in mesh], axis=-1)
-        rhos_ref = np.array(
-            [spectral_radius(M) for M in competition_matrix(model, refined)]
-        )
-        total += int(refined.shape[0])
-        k = int(np.argmax(rhos_ref))
-        if rhos_ref[k] > worst:
-            worst = float(rhos_ref[k])
-            witness = refined[k]
+    step = q / grid_resolution
+    offsets = np.linspace(-1.0, 1.0, 9)
+    axes = [
+        np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i]) for i in range(model.n)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    refined = np.stack([m.ravel() for m in mesh], axis=-1)
+    rhos_ref = np.array([spectral_radius(M) for M in competition_matrix(model, refined)])
+    total += int(refined.shape[0])
+    k = int(np.argmax(rhos_ref))
+    if rhos_ref[k] > worst:
+        worst = float(rhos_ref[k])
+        witness = refined[k]
 
     verdict = "pass_sampled" if worst < 1.0 else "fail"
     return ConditionResult("Eq4", verdict, worst=worst, witness=witness, samples=total)
@@ -681,78 +646,46 @@ def run_criteria(
     grid_resolution: int = 16,
     samples: int = 10_000,
     seed: int = 42,
-    refine: bool = True,
-    inverse_positivity_points: int = 100,
-) -> CriteriaReport:
-    """Run every condition checker and collect a structured report."""
-    conditions = [check_c0(model)]
+) -> list[ConditionResult]:
+    """Run every condition checker; one record per id, C0 to Model in report order.
 
-    q = None
+    A checker that needs q (C1-C3, C5, Eq3a/Eq3b, Eq4, InvPos) is
+    inconclusive when q cannot be verified, and so is one whose model
+    evaluation fails; C4 reports a missing q as its own failure.  The
+    verdict of the run is the caller's: any fail fails, then any
+    inconclusive is inconclusive.
+    """
+    conditions = [check_c0(model)]
     try:
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError):
-        pass
+        q = None
+    region = None if q is None else default_region(q)
 
-    def needs_q(cond_id: str) -> ConditionResult:
-        return ConditionResult(
-            cond_id, "inconclusive", note="requires axial fixed points"
-        )
+    def guarded(ids, checker) -> list[ConditionResult]:
+        """The checker's records, or an inconclusive one per id saying why not."""
+        if q is None:
+            why = "requires axial fixed points"
+        else:
+            try:
+                return list(checker())
+            except (ModelEvaluationError, ValueError) as exc:
+                why = str(exc)
+        return [ConditionResult(i, "inconclusive", note=why) for i in ids]
 
-    def guarded(cond_id, fn):
-        try:
-            return fn()
-        except (ModelEvaluationError, ValueError) as exc:
-            return ConditionResult(cond_id, "inconclusive", note=str(exc))
-
-    region = default_region(q) if q is not None else None
-
-    conditions.append(
-        guarded("C1", lambda: check_attractor_bound(model, q))
-        if q is not None
-        else needs_q("C1")
-    )
-    conditions.append(
-        guarded("C2", lambda: check_sublinearity(model, region, samples, seed))
-        if region is not None
-        else needs_q("C2")
-    )
-    conditions.append(
-        guarded("C3", lambda: check_retrotone(model, region, samples, seed))
-        if region is not None
-        else needs_q("C3")
-    )
-    conditions.append(check_axial(model))
-    conditions.append(
-        guarded("C5", lambda: check_c5(model, region, samples, seed))
-        if region is not None
-        else needs_q("C5")
-    )
-
-    if q is not None:
-        try:
-            eq3a, eq3b = check_gershgorin_grid(model, grid_resolution)
-        except (ModelEvaluationError, ValueError) as exc:
-            eq3a = ConditionResult("Eq3a", "inconclusive", note=str(exc))
-            eq3b = ConditionResult("Eq3b", "inconclusive", note=str(exc))
-        conditions.append(eq3a)
-        conditions.append(eq3b)
-        conditions.append(
-            guarded("Eq4", lambda: check_spectral_grid(model, grid_resolution, refine))
-        )
+    def probe():
         rng = np.random.default_rng(seed)
-        probe = np.vstack(
-            [rng.random((inverse_positivity_points, model.n)) * q, q, np.diag(q)]
-        )
-        inv = guarded("InvPos", lambda: check_inverse_positivity(model, probe))
-        inv.seed = seed
-        conditions.append(inv)
-    else:
-        conditions.extend([needs_q("Eq3a"), needs_q("Eq3b"), needs_q("Eq4"), needs_q("InvPos")])
+        return np.vstack([rng.random((INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
 
+    conditions += guarded(["C1"], lambda: [check_attractor_bound(model, q)])
+    conditions += guarded(["C2"], lambda: [check_sublinearity(model, region, samples, seed)])
+    conditions += guarded(["C3"], lambda: [check_retrotone(model, region, samples, seed)])
+    conditions.append(check_axial(model))
+    conditions += guarded(["C5"], lambda: [check_c5(model, region, samples, seed)])
+    conditions += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(model, grid_resolution))
+    conditions += guarded(["Eq4"], lambda: [check_spectral_grid(model, grid_resolution)])
+    conditions += guarded(["InvPos"], lambda: [check_inverse_positivity(model, probe())])
+    if q is not None:
+        conditions[-1].seed = seed  # the probe's seed, also on an inconclusive record
     conditions.append(family_criterion(model))
-
-    return CriteriaReport(
-        conditions=conditions,
-        seed=seed,
-        metadata={"grid_resolution": grid_resolution, "samples": samples},
-    )
+    return conditions

@@ -59,9 +59,11 @@ class LoadedModel:
 def load_model_file(path) -> LoadedModel:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"model file {path} is not valid UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -16,6 +16,9 @@ import numpy as np
 from .cone import as_state
 
 
+Q_RESIDUAL_TOL = 1e-10  # relative residual of T(q_i e_i) = q_i e_i that q must meet
+
+
 class ModelParameterError(ValueError):
     """Rejected model parameters (hypotheses here are strict inequalities)."""
 
@@ -84,19 +87,20 @@ class CompetitionModel:
         gp = self.growth_jacobian(x)
         return _diag_embed(g) + x[..., :, None] * gp
 
-    def verified_axial_fixed_points(self, tol: float = 1e-10) -> np.ndarray:
-        """q, with T(q_i e_i) = q_i e_i re-checked on every axis in one n-row step.
+    def verified_axial_fixed_points(self) -> np.ndarray:
+        """q, with T(q_i e_i) = q_i e_i re-checked on every axis in one n-row step,
+        to a residual of ``Q_RESIDUAL_TOL * max(1, q_i)``.
 
-        The verified q is cached on the instance for its ``tol``, so every
-        checker that needs q shares one verification.  The returned array is
+        The verified q is cached on the instance, so every checker that needs
+        q shares one computation and one verification.  The returned array is
         read-only because all those callers share it.
         """
         cached = getattr(self, "_verified_q", None)
-        if cached is not None and cached[0] == tol:
-            return cached[1]
+        if cached is not None:
+            return cached
         q = as_state(self.axial_fixed_points(), self.n).copy()
         residual = np.abs(self.axis_step(np.arange(self.n), q) - q)
-        bad = np.flatnonzero(residual > tol * np.maximum(1.0, q))
+        bad = np.flatnonzero(residual > Q_RESIDUAL_TOL * np.maximum(1.0, q))
         if bad.size:
             i = int(bad[0])
             raise ModelEvaluationError(
@@ -105,7 +109,7 @@ class CompetitionModel:
                 index=i + 1,
             )
         q.setflags(write=False)
-        self._verified_q = (tol, q)
+        self._verified_q = q
         return q
 
 

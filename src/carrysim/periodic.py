@@ -43,15 +43,6 @@ class FourierSeries:
     def order(self) -> int:
         return max(len(self.cos), len(self.sin))
 
-    def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.const, dtype=float)
-        for k, a in enumerate(self.cos, start=1):
-            out = out + a * np.cos(2.0 * np.pi * k * t)
-        for k, b in enumerate(self.sin, start=1):
-            out = out + b * np.sin(2.0 * np.pi * k * t)
-        return out
-
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -200,6 +191,10 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
+AXIAL_Q_TOL = 1e-13  # relative step at which the axis iteration for q stops
+AXIAL_Q_MAX_ITER = 10_000
+
+
 class PoincareMapModel(CompetitionModel):
     """The period-1 flow map of a periodic system, as a competition model.
 
@@ -212,21 +207,17 @@ class PoincareMapModel(CompetitionModel):
         self.system = system
         self.config = config or IntegrationConfig()
         self.n = system.n
-        self._q: np.ndarray | None = None
 
     def growth(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.exp(_log_gain(self.system, x, (0.0, 1.0), self.config))
 
-    def axial_fixed_points(
-        self, tol: float = 1e-13, max_iter: int = 10_000
-    ) -> np.ndarray:
+    def axial_fixed_points(self) -> np.ndarray:
         """Iterate the map on every axis, all n species as one batch.
 
-        A row stops updating once it has converged or left (0, 1e12].
+        A row stops updating once it has converged or left (0, 1e12].  Each
+        call iterates afresh; ``verified_axial_fixed_points`` keeps the result.
         """
-        if self._q is not None:
-            return self._q
         n = self.n
         r = np.ones(n)
         for i in range(n):
@@ -236,13 +227,13 @@ class PoincareMapModel(CompetitionModel):
                 r[i] = b0 / a0
         active = np.ones(n, dtype=bool)
         converged = np.zeros(n, dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(AXIAL_Q_MAX_ITER):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
             r_new = self.axis_step(rows, r[rows])
             escaped = ~np.isfinite(r_new) | (r_new > 1e12)
-            settled = ~escaped & (np.abs(r_new - r[rows]) < tol * np.maximum(1.0, r_new))
+            settled = ~escaped & (np.abs(r_new - r[rows]) < AXIAL_Q_TOL * np.maximum(1.0, r_new))
             r[rows[~escaped]] = r_new[~escaped]
             converged[rows[settled]] = True
             active[rows[escaped | settled]] = False
@@ -252,7 +243,6 @@ class PoincareMapModel(CompetitionModel):
                 f"no axial fixed point for species {failed[0] + 1}: axis iteration "
                 f"did not converge to a positive value"
             )
-        self._q = r
         return r
 
 
@@ -261,9 +251,10 @@ class PoincareMapModel(CompetitionModel):
 # ---------------------------------------------------------------------------
 
 
-def check_a_conditions(
-    system: PeriodicLVSystem, time_samples: int = 1024
-) -> list[ConditionResult]:
+A_TIME_SAMPLES = 1024  # uniform times per period at which A1-A4 are checked
+
+
+def check_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
     """Competitive-structure conditions of the periodic LV form on a time grid.
 
     A1 total competition (A_ij >= 0), A2 strong self-competition (diagonal
@@ -272,92 +263,54 @@ def check_a_conditions(
     populations with the explicit per-species threshold, A4 increase of
     small populations (B_i > 0).
     """
-    t, b, a = system.coefficient_grid(time_samples)
-    results = []
-
-    min_a = float(a.min())
-    if min_a >= 0.0:
-        results.append(
-            ConditionResult("A1", "pass_sampled", worst=min_a, samples=time_samples)
-        )
-    else:
-        k, i, j = np.unravel_index(int(np.argmin(a)), a.shape)
-        results.append(
-            ConditionResult(
-                "A1",
-                "fail",
-                worst=min_a,
-                witness={"t": float(t[k]), "i": int(i) + 1, "j": int(j) + 1},
-                samples=time_samples,
-                note="an interaction coefficient goes negative",
-            )
-        )
-
+    t, b, a = system.coefficient_grid(A_TIME_SAMPLES)
     diag = np.diagonal(a, axis1=1, axis2=2)  # (T, n)
+
+    def sign_check(cond_id: str, values: np.ndarray, strict: bool, note: str):
+        """Every sampled value >= 0 (> 0 if ``strict``); a fail names the time
+        and the 1-based indices of the first smallest value."""
+        worst = float(values.min())
+        if worst > 0.0 or (worst == 0.0 and not strict):
+            return ConditionResult(cond_id, "pass_sampled", worst=worst, samples=A_TIME_SAMPLES)
+        k, *idx = np.unravel_index(int(np.argmin(values)), values.shape)
+        witness = {"t": float(t[k]), **{name: int(v) + 1 for name, v in zip("ij", idx)}}
+        return ConditionResult(
+            cond_id, "fail", worst=worst, witness=witness, samples=A_TIME_SAMPLES, note=note
+        )
+
     min_diag = float(diag.min())
     if min_diag > 0.0:
-        results.append(
-            ConditionResult("A2", "pass_sampled", worst=min_diag, samples=time_samples)
-        )
-    else:
-        k, i = np.unravel_index(int(np.argmin(diag)), diag.shape)
-        results.append(
-            ConditionResult(
-                "A2",
-                "fail",
-                worst=min_diag,
-                witness={"t": float(t[k]), "i": int(i) + 1},
-                samples=time_samples,
-                note="self-competition vanishes for a singleton support",
-            )
-        )
-
-    if min_diag > 0.0:
         thresholds = np.maximum(b.max(axis=0), 0.0) / diag.min(axis=0)
-        results.append(
-            ConditionResult(
-                "A3",
-                "pass_sampled",
-                worst=float(thresholds.max()),
-                witness={"thresholds": thresholds.tolist()},
-                samples=time_samples,
-                note="G_i(t, x) < 0 once x_i exceeds the reported threshold",
-            )
+        a3 = ConditionResult(
+            "A3",
+            "pass_sampled",
+            worst=float(thresholds.max()),
+            witness={"thresholds": thresholds.tolist()},
+            samples=A_TIME_SAMPLES,
+            note="G_i(t, x) < 0 once x_i exceeds the reported threshold",
         )
     else:
-        results.append(
-            ConditionResult(
-                "A3",
-                "fail",
-                worst=min_diag,
-                samples=time_samples,
-                note="no finite threshold: self-competition is not positive",
-            )
+        a3 = ConditionResult(
+            "A3",
+            "fail",
+            worst=min_diag,
+            samples=A_TIME_SAMPLES,
+            note="no finite threshold: self-competition is not positive",
         )
-
-    min_b = float(b.min())
-    if min_b > 0.0:
-        results.append(
-            ConditionResult("A4", "pass_sampled", worst=min_b, samples=time_samples)
-        )
-    else:
-        k, i = np.unravel_index(int(np.argmin(b)), b.shape)
-        results.append(
-            ConditionResult(
-                "A4",
-                "fail",
-                worst=min_b,
-                witness={"t": float(t[k]), "i": int(i) + 1},
-                samples=time_samples,
-                note="a per-capita gain dips to zero or below",
-            )
-        )
-    return results
+    return [
+        sign_check("A1", a, False, "an interaction coefficient goes negative"),
+        sign_check("A2", diag, True, "self-competition vanishes for a singleton support"),
+        a3,
+        sign_check("A4", b, True, "a per-capita gain dips to zero or below"),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # ratio monotonicity of ordered solutions
 # ---------------------------------------------------------------------------
+
+
+WANG_JIANG_SLOPE_TOL = 1e-12  # a ratio slope above -this counts as increasing
 
 
 @dataclass
@@ -367,7 +320,6 @@ class WangJiangResult:
     window_steps: int
     total_steps: int
     ordered_throughout: bool
-    slope_tolerance: float = 1e-12
 
     def to_dict(self) -> dict:
         return {
@@ -376,7 +328,7 @@ class WangJiangResult:
             "window_steps": self.window_steps,
             "total_steps": self.total_steps,
             "ordered_throughout": self.ordered_throughout,
-            "slope_tolerance": self.slope_tolerance,
+            "slope_tolerance": WANG_JIANG_SLOPE_TOL,
         }
 
 
@@ -386,7 +338,6 @@ def wang_jiang_check(
     v0,
     t_span: tuple[float, float] = (0.0, 3.0),
     config: IntegrationConfig | None = None,
-    slope_tolerance: float = 1e-12,
 ) -> WangJiangResult:
     """Ratios u_i/v_i of strictly ordered solutions must keep increasing.
 
@@ -421,15 +372,13 @@ def wang_jiang_check(
             window_steps=0,
             total_steps=U.shape[0] - 1,
             ordered_throughout=ordered_throughout,
-            slope_tolerance=slope_tolerance,
         )
     slopes = np.diff(ratios, axis=0) / h
     min_slope = float(slopes.min())
     return WangJiangResult(
-        passed=min_slope > -slope_tolerance,
+        passed=min_slope > -WANG_JIANG_SLOPE_TOL,
         min_slope=min_slope,
         window_steps=ratios.shape[0] - 1,
         total_steps=U.shape[0] - 1,
         ordered_throughout=ordered_throughout,
-        slope_tolerance=slope_tolerance,
     )

@@ -589,6 +589,9 @@ class SurfaceVerification:
 
     @property
     def all_ok(self) -> bool:
+        """The surface has its defining properties at this resolution: it is
+        unordered, the asymptotic check passed, and every axial radius is
+        within 10x the asymptotic gap threshold of q_i."""
         return (
             self.unordered.ok
             and self.asymptotic.passed
@@ -633,17 +636,15 @@ def verify_surface(
     starts: int = 100,
     steps: int = 400,
     seed: int = 42,
-    asymptotic_tol: float | None = None,
 ) -> SurfaceVerification:
     """Run the full defining-property suite against a computed surface.
 
-    The asymptotic gap threshold defaults to the larger of the iteration
-    tolerance and the grid's discretization floor: a coarse grid cannot
-    witness gaps tighter than its own interpolation error.
+    The asymptotic gap threshold is the larger of the iteration tolerance
+    and the grid's discretization floor: a coarse grid cannot witness gaps
+    tighter than its own interpolation error.
     """
     rng = np.random.default_rng(seed)
-    if asymptotic_tol is None:
-        asymptotic_tol = discretization_floor(surface)
+    asymptotic_tol = discretization_floor(surface)
     residual = invariance_residual(surface, model, samples=samples, seed=seed)
     unordered = unordered_check(surface)
     lows = 0.05 * surface.q
@@ -684,6 +685,10 @@ def compute_attractor_cloud(
 # ---------------------------------------------------------------------------
 
 
+SWEEP_TOL = 1e-8  # fixed-point and period-match tolerance of the scalar sweep
+SWEEP_MAX_PERIOD = 64
+
+
 @dataclass
 class SweepPoint:
     b: float
@@ -699,16 +704,15 @@ def sweep_1d(
     burn_in: int | None = None,
     record: int = 128,
     b_count: int = 100,
-    fixed_point_tol: float = 1e-8,
-    max_period: int = 64,
 ) -> list[SweepPoint]:
     """Classify the scalar map x -> x exp(b - a x) across a range of b.
 
     Each b iterates from x0 = 0.1 b/a for ``steps`` total iterations and
     keeps the last ``record`` values: "converges" when the final iterate is
-    within 1e-8 of b/a, "periodic" when the tail revisits itself with period
-    <= 64, otherwise "non-convergent" (no carrying-simplex claim is made for
-    parameters between the known thresholds).
+    within ``SWEEP_TOL`` of b/a, "periodic" when the tail revisits itself to
+    that tolerance with period <= ``SWEEP_MAX_PERIOD``, otherwise
+    "non-convergent" (no carrying-simplex claim is made for parameters
+    between the known thresholds).
     """
     if a <= 0.0:
         raise ValueError("a must be > 0")
@@ -734,10 +738,10 @@ def sweep_1d(
         if not np.all(np.isfinite(orbit)):
             out.append(SweepPoint(float(b), "divergent"))
             continue
-        if abs(orbit[-1] - q) < fixed_point_tol:
+        if abs(orbit[-1] - q) < SWEEP_TOL:
             out.append(SweepPoint(float(b), "converges", np.array([q])))
             continue
-        period = _detect_period(orbit, fixed_point_tol, max_period)
+        period = _detect_period(orbit)
         if period:
             out.append(SweepPoint(float(b), "periodic", orbit[-period:].copy()))
         else:
@@ -745,11 +749,11 @@ def sweep_1d(
     return out
 
 
-def _detect_period(orbit: np.ndarray, tol: float, max_period: int) -> int:
-    for p in range(2, min(max_period, orbit.size - 1) + 1):
-        if abs(orbit[-1] - orbit[-1 - p]) < tol:
+def _detect_period(orbit: np.ndarray) -> int:
+    for p in range(2, min(SWEEP_MAX_PERIOD, orbit.size - 1) + 1):
+        if abs(orbit[-1] - orbit[-1 - p]) < SWEEP_TOL:
             lag = orbit.size - p
-            if np.max(np.abs(orbit[p:] - orbit[:-p])[-min(lag, p):]) < tol:
+            if np.max(np.abs(orbit[p:] - orbit[:-p])[-min(lag, p):]) < SWEEP_TOL:
                 return p
     return 0
 

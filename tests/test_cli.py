@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from carrysim.cli import main
+from carrysim.periodic import PoincareMapModel
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 # the periodic model at the reduced resolution of the periodic_check benchmark
@@ -104,6 +105,95 @@ def test_check_output_is_byte_identical_for_a_fixed_seed(name, extra, tmp_path):
     for out in (first, second):
         main(["check", "--model", model(name), "--seed", "5", "--out", str(out), *extra])
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["simplex", "--model", model("may2"), "--grid", "16"], ["out", "out.meta.json"]),
+        (["simulate", "--model", model("periodic_lv2"), "--x0", "0.1,0.2", "--steps", "2",
+          "--ode-steps", "64"], ["out"]),  # fmt: skip
+        (["sweep1d", "--b-min", "0.5", "--b-max", "3.5", "--b-count", "40"], ["out"]),
+        (["wangjiang", "--model", model("periodic_lv2"), "--pairs", "2", "--ode-steps", "64"],
+         ["out"]),  # fmt: skip
+    ],
+    ids=["simplex", "simulate", "sweep1d", "wangjiang"],
+)
+def test_outputs_are_byte_identical_for_a_fixed_seed(argv, outputs, tmp_path, capsys):
+    written = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        main([*argv, "--out", str(tmp_path / run / "out")])
+        streams = capsys.readouterr()
+        files = [(tmp_path / run / name).read_bytes() for name in outputs]
+        written.append((files, streams.out.replace(run, ""), streams.err))
+    assert written[0] == written[1]
+
+
+def test_simplex_refuses_when_the_criteria_fail(tmp_path, capsys):
+    out = tmp_path / "surface.csv"
+    assert main(["simplex", "--model", model("may1_b3"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "criteria failed (C3, C4, Eq3a, Eq3b, Eq4, InvPos, Model); "
+        "re-run with --force to compute anyway\n"
+    )
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_simplex_computes_the_period_map_q_once(tmp_path, monkeypatch):
+    # the criteria pre-check and the surface share one period-map model
+    calls = []
+    original = PoincareMapModel.axial_fixed_points
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PoincareMapModel, "axial_fixed_points", counted)
+    out = tmp_path / "surface.csv"
+    argv = ["simplex", "--model", model("periodic_lv2"), *PERIODIC_FAST, "--out", str(out)]
+    assert main(argv) == 1  # at m = 8 the surface is not unordered
+    assert len(calls) == 1
+    assert out.with_suffix(".meta.json").exists()
+
+
+def test_model_file_that_is_not_utf8_exits_64(tmp_path, capsys):
+    path = tmp_path / "may2.json"
+    path.write_bytes(Path(model("may2")).read_bytes() + b"\xff\n")
+    out = tmp_path / "report.json"
+    assert main(["check", "--model", str(path), "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {path} is not valid UTF-8: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", "absent.json"],
+        ["simplex", "--model", "absent.json"],
+        ["simulate", "--model", "absent.json", "--x0", "0.1,0.2"],
+        ["sweep1d", "--b-min", "1", "--b-max", "2"],
+        ["wangjiang", "--model", "absent.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_in_a_missing_directory_exits_64_before_reading_the_model(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([*argv, "--out", str(missing / "out")]) == 64
+    assert capsys.readouterr().err == f"error: --out: {missing} is not a directory\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys):
+    # the path is a directory, so opening it for writing fails
+    assert main(["check", "--model", model("may2"), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
 
 
 # negative self-competition: A1 and A2 fail and the axial-q iteration blows up

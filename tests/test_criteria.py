@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from carrysim import criteria
 from carrysim.criteria import (
+    RETROTONE_MIN_PAIRS,
     check_attractor_bound,
     check_axial,
     check_c0,
@@ -234,8 +236,11 @@ class TestConditionCheckers:
         assert x < 1.0 < y  # the violating pair straddles the critical point 1/a
 
     def test_retrotone_inconclusive_without_pairs(self, may2):
-        res = check_retrotone(may2, samples=50, seed=1, min_accepted=10_000)
+        # 50 sampled pairs cannot reach the 100 accepted pairs C3 needs
+        res = check_retrotone(may2, samples=50, seed=1)
         assert res.verdict == "inconclusive"
+        assert res.samples < RETROTONE_MIN_PAIRS
+        assert res.note.endswith(f"(need {RETROTONE_MIN_PAIRS})")
 
     def test_axial_check(self, may2, may1_b3):
         assert check_axial(may2).verdict == "pass_sampled"
@@ -308,49 +313,70 @@ class TestFamilyCriteria:
         assert res.verdict == "fail"
 
 
+def by_id(conditions):
+    return {c.id: c for c in conditions}
+
+
 class TestFullReport:
     def test_all_pass_for_good_instance(self, may2):
-        report = run_criteria(may2, samples=2000, seed=42)
-        assert report.all_ok
-        assert not report.any_fail
-        ids = [c.id for c in report.conditions]
+        conditions = run_criteria(may2, samples=2000, seed=42)
+        assert all(c.ok for c in conditions)
+        assert not any(c.verdict == "fail" for c in conditions)
+        ids = [c.id for c in conditions]
         assert ids == [
             "C0", "C1", "C2", "C3", "C4", "C5", "Eq3a", "Eq3b", "Eq4", "InvPos", "Model",
         ]
 
     def test_fail_for_supercritical(self, may1_b3):
-        report = run_criteria(may1_b3, samples=2000, seed=42)
-        assert report.any_fail
-        assert report["Eq4"].verdict == "fail"
-        assert report["Model"].verdict == "fail"
+        conditions = by_id(run_criteria(may1_b3, samples=2000, seed=42))
+        assert any(c.verdict == "fail" for c in conditions.values())
+        assert conditions["Eq4"].verdict == "fail"
+        assert conditions["Model"].verdict == "fail"
 
     def test_subcritical_leslie_gower_reports_missing_q(self):
         model = LeslieGowerModel([0.9, 1.2], [[1.0, 0.1], [0.1, 1.0]])
-        report = run_criteria(model, samples=500, seed=42)
-        assert report["C0"].verdict == "fail"
-        assert report["Eq4"].verdict == "inconclusive"
-        assert report["C4"].verdict == "fail"
+        conditions = by_id(run_criteria(model, samples=500, seed=42))
+        assert conditions["C0"].verdict == "fail"
+        assert conditions["Eq4"].verdict == "inconclusive"
+        assert conditions["Eq4"].note == "requires axial fixed points"
+        assert conditions["InvPos"].seed is None
+        assert conditions["C4"].verdict == "fail"
 
     def test_report_serialization_roundtrip(self, may2):
         import json
 
-        report = run_criteria(may2, samples=500, seed=7)
-        payload = json.dumps(report.to_dict())
-        back = json.loads(payload)
-        assert back["seed"] == 7
-        eq4 = [c for c in back["conditions"] if c["id"] == "Eq4"][0]
+        conditions = run_criteria(may2, samples=500, seed=7)
+        back = json.loads(json.dumps([c.to_record() for c in conditions]))
+        seeded = {c["id"]: c["seed"] for c in back if c["seed"] is not None}
+        assert seeded == {"C2": 7, "C3": 7, "C5": 7, "InvPos": 7}
+        eq4 = [c for c in back if c["id"] == "Eq4"][0]
         assert eq4["verdict"] == "pass_sampled"
         assert isinstance(eq4["worst"], float)
         assert isinstance(eq4["witness"], list)
 
     def test_report_is_deterministic(self, may2):
-        r1 = run_criteria(may2, samples=1000, seed=42).to_dict()
-        r2 = run_criteria(may2, samples=1000, seed=42).to_dict()
+        r1 = [c.to_record() for c in run_criteria(may2, samples=1000, seed=42)]
+        r2 = [c.to_record() for c in run_criteria(may2, samples=1000, seed=42)]
         assert r1 == r2
 
     def test_sampled_verdicts_never_claim_proof(self, may2):
-        report = run_criteria(may2, samples=500, seed=42)
+        conditions = run_criteria(may2, samples=500, seed=42)
         sampled = {"C1", "C2", "C3", "C4", "C5", "Eq3a", "Eq3b", "Eq4", "InvPos"}
-        for cond in report.conditions:
+        for cond in conditions:
             if cond.id in sampled and cond.ok:
                 assert cond.verdict == "pass_sampled"
+
+    def test_failed_evaluation_is_inconclusive_with_the_invpos_seed(self, may2, monkeypatch):
+        # a model evaluation error inside a checker makes its ids inconclusive;
+        # the InvPos record keeps the seed its probe was drawn from
+        def broken(*args):
+            raise ValueError("competition matrix undefined (nonpositive growth factor)")
+
+        monkeypatch.setattr(criteria, "competition_matrix", broken)
+        monkeypatch.setattr(criteria, "check_inverse_positivity", broken)
+        conditions = by_id(run_criteria(may2, samples=500, seed=7))
+        for cond_id in ("Eq3a", "Eq3b", "Eq4", "InvPos"):
+            assert conditions[cond_id].verdict == "inconclusive"
+            assert conditions[cond_id].note.startswith("competition matrix undefined")
+        assert conditions["InvPos"].seed == 7
+        assert conditions["Eq4"].seed is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carrysim.models import (
+    Q_RESIDUAL_TOL,
     LeslieGowerModel,
     MayOsterModel,
     ModelEvaluationError,
@@ -163,8 +164,10 @@ class TestSharedBehavior:
         assert np.allclose(jac, np.diag(g0), atol=1e-15)
 
     def test_axial_points_are_fixed(self, model):
-        q = model.verified_axial_fixed_points(tol=1e-10)
+        q = model.verified_axial_fixed_points()
         assert np.all(q > 0)
+        residual = np.abs(model.axis_step(np.arange(2), q) - q)
+        assert np.all(residual <= Q_RESIDUAL_TOL * np.maximum(1.0, q))
 
     def test_growth_decreases_along_the_order(self, model):
         rng = np.random.default_rng(13)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from carrysim.models import LeslieGowerModel, MayOsterModel
 from carrysim.simplex import (
+    AsymptoticStats,
     RadialSurface,
+    SurfaceVerification,
+    UnorderedResult,
     SimplexGrid,
     asymptotic_check,
     compute_attractor_cloud,
@@ -233,6 +238,22 @@ class TestAsymptotic:
         assert set(d) == {
             "invariance_residual", "unordered", "asymptotic", "axial_errors", "seed",
         }
+
+
+    def test_axial_error_beyond_ten_tol_is_not_all_ok(self):
+        asymptotic = AsymptoticStats(
+            passed=True, gaps_half=np.zeros(3), gaps_end=np.zeros(3), escaped=0, steps=10,
+            tol=1e-6,
+        )  # fmt: skip
+        verified = SurfaceVerification(
+            invariance=0.0,
+            unordered=UnorderedResult(True, -0.1, None, None),
+            asymptotic=asymptotic,
+            axial_errors=np.array([0.0, 9e-6]),
+            seed=1,
+        )
+        assert verified.all_ok
+        assert not dataclasses.replace(verified, axial_errors=np.array([0.0, 1.1e-5])).all_ok
 
 
 class TestPointCloud:
