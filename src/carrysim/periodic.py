@@ -4,7 +4,9 @@ Systems have the per-capita form du_i/dt = u_i (B_i(t) - sum_j A_ij(t) u_j)
 with period-1 coefficients given as finite Fourier sums.  Integration is
 fixed-step RK4 on the log-gain variables l_i with u(t) = u(0) * exp(l(t)),
 which keeps zero coordinates exactly zero and makes the per-capita growth
-of the time-one map well defined even on the boundary facets.
+of the time-one map well defined even on the boundary facets.  B and A are
+read from a table of the RK4 stage times, built once per ``PoincareMapModel``
+and once per ``integrate`` call.
 """
 
 from __future__ import annotations
@@ -105,11 +107,6 @@ class PeriodicLVSystem:
         a = self._a_const + self._a_cos @ c + self._a_sin @ s
         return b, a
 
-    def per_capita(self, t: float, u: np.ndarray) -> np.ndarray:
-        """Growth rates B(t) - A(t) u, broadcasting over batches of u."""
-        b, a = self.coefficients_at(t)
-        return b - u @ a.T
-
     def coefficient_grid(self, samples: int = 1024) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, B, A) sampled on a uniform period grid; shapes (T,), (T,n), (T,n,n)."""
         t = np.arange(samples) / samples
@@ -134,40 +131,51 @@ class PeriodicLVSystem:
 # ---------------------------------------------------------------------------
 
 
-# an overflow shows up as a non-finite l, which is raised as IntegrationError
-@np.errstate(over="ignore", invalid="ignore")
-def _log_gain(
-    system: PeriodicLVSystem,
-    x0: np.ndarray,
-    t_span: tuple[float, float],
-    config: IntegrationConfig,
-    record: bool = False,
-):
-    """RK4 on dl/dt = per_capita(t, x0 * exp(l)); returns l(t1) (and the path)."""
+def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
+    """(t0, h, B, A^T) at the RK4 stage times t, t + h/2, t + h of every step,
+    shapes (3, steps, n) and (3, steps, n, n).  The times are the loop's own
+    float sums, so entries are bit-identical to ``coefficients_at``; A^T is the
+    transposed view of C-contiguous A, the operand layout of ``u @ A(t).T``."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
     steps = max(1, int(round((t1 - t0) * config.steps_per_period)))
     h = (t1 - t0) / steps
-    ell = np.zeros_like(x0)
-    path = [ell.copy()] if record else None
+    b = np.empty((3, steps, system.n))
+    a = np.empty((3, steps, system.n, system.n))
     for k in range(steps):
         t = t0 + k * h
-        k1 = system.per_capita(t, x0 * np.exp(ell))
-        k2 = system.per_capita(t + 0.5 * h, x0 * np.exp(ell + 0.5 * h * k1))
-        k3 = system.per_capita(t + 0.5 * h, x0 * np.exp(ell + 0.5 * h * k2))
-        k4 = system.per_capita(t + h, x0 * np.exp(ell + h * k3))
-        ell = ell + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(ell)):
-            raise IntegrationError(
-                f"integration lost finiteness at t = {t + h:.6f}", time=t + h
-            )
+        for s, ts in enumerate((t, t + 0.5 * h, t + h)):
+            b[s, k], a[s, k] = system.coefficients_at(ts)
+    return t0, h, b, a.transpose(0, 1, 3, 2)
+
+
+# an overflow shows up as a non-finite l, which is raised as IntegrationError
+@np.errstate(over="ignore", invalid="ignore")
+def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False):
+    """RK4 on dl/dt = B(t) - A(t) (x0 * exp(l)) over a ``_stage_table``; returns
+    l(t1), or with ``record`` the step-boundary times and l at each of them."""
+    t0, h, b, a_t = table
+    half, sixth = 0.5 * h, h / 6.0
+    ell = np.zeros_like(x0)
+    path = np.zeros((b.shape[1] + 1,) + x0.shape) if record else None
+    for k, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a_t)):
+        k1 = b1 - (x0 * np.exp(ell)) @ a1
+        k2 = b2 - (x0 * np.exp(ell + half * k1)) @ a2
+        k3 = b2 - (x0 * np.exp(ell + half * k2)) @ a2
+        k4 = b4 - (x0 * np.exp(ell + h * k3)) @ a4
+        ell = ell + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if check_each_step and not np.all(np.isfinite(ell)):
+            t = t0 + k * h + h
+            raise IntegrationError(f"integration lost finiteness at t = {t:.6f}", time=t)
         if record:
-            path.append(ell.copy())
-    if record:
-        times = t0 + h * np.arange(steps + 1)
-        return ell, times, np.array(path)
-    return ell
+            path[k + 1] = ell
+    # l only ever has an increment added, and a sum with a non-finite term is
+    # never finite, so a coordinate that lost finiteness in some step is still
+    # non-finite here; the re-run checks every step and raises at the first
+    if not (check_each_step or np.all(np.isfinite(ell))):
+        _log_gain(table, x0, check_each_step=True)
+    return (t0 + h * np.arange(len(path)), path) if record else ell
 
 
 @dataclass
@@ -185,7 +193,7 @@ def integrate(
     """Integrate one trajectory, reporting states at every step boundary."""
     config = config or IntegrationConfig()
     x0 = as_state(x0, system.n)
-    _, times, path = _log_gain(system, x0, t_span, config, record=True)
+    times, path = _log_gain(_stage_table(system, t_span, config), x0, record=True)
     states = x0 * np.exp(path)
     states[:, x0 == 0.0] = 0.0
     return Trajectory(times=times, states=states)
@@ -201,16 +209,17 @@ class PoincareMapModel(CompetitionModel):
     Growth factors are G(x) = exp(l(1)) with l the integrated per-capita
     rates, so T_i(x) = x_i G_i(x) holds exactly and G extends continuously
     to the facets.  The growth Jacobian falls back to finite differences.
+    One coefficient table per model, built here, serves every ``growth`` call.
     """
 
     def __init__(self, system: PeriodicLVSystem, config: IntegrationConfig | None = None):
         self.system = system
         self.config = config or IntegrationConfig()
         self.n = system.n
+        self._table = _stage_table(system, (0.0, 1.0), self.config)
 
     def growth(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(_log_gain(self.system, x, (0.0, 1.0), self.config))
+        return np.exp(_log_gain(self._table, np.asarray(x, dtype=float)))
 
     def axial_fixed_points(self) -> np.ndarray:
         """Iterate the map on every axis, all n species as one batch.

@@ -29,7 +29,14 @@ from carrysim.criteria import (
 from carrysim import simplex
 from carrysim.modelio import load_model_file
 from carrysim.models import LeslieGowerModel, MayOsterModel, ModelParameterError
-from carrysim.periodic import IntegrationConfig
+from carrysim.periodic import (
+    FourierSeries,
+    IntegrationConfig,
+    IntegrationError,
+    PeriodicLVSystem,
+    PoincareMapModel,
+    integrate,
+)
 from carrysim.simplex import SimplexGrid, SurfaceDegeneracyError, compute_carrying_simplex
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -600,3 +607,109 @@ def test_interpolation_matches_the_row_loop(m):
     reference = np.array([reference_interp3(grid, values, row) for row in dirs])
     assert np.array_equal(fast, reference)
     assert grid.interpolate(values, dirs[7]) == reference[7]
+
+
+# ---------------------------------------------------------------------------
+# the period map: tabulated coefficients against per-stage evaluation
+# ---------------------------------------------------------------------------
+
+# negative self-competition of species 1: its axis blows up within one period
+DIVERGENT = PeriodicLVSystem([1.0, 0.8], [[-1.0, 0.3], [0.2, 1.1]])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_log_gain(system, x0, t_span, config, record=False):
+    """RK4 that evaluates B(t) and A(t) afresh at every stage and checks
+    finiteness after every step."""
+
+    def per_capita(t, u):
+        b, a = system.coefficients_at(t)
+        return b - u @ a.T
+
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    steps = max(1, int(round((t1 - t0) * config.steps_per_period)))
+    h = (t1 - t0) / steps
+    ell = np.zeros_like(x0)
+    path = [ell.copy()]
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = per_capita(t, x0 * np.exp(ell))
+        k2 = per_capita(t + 0.5 * h, x0 * np.exp(ell + 0.5 * h * k1))
+        k3 = per_capita(t + 0.5 * h, x0 * np.exp(ell + 0.5 * h * k2))
+        k4 = per_capita(t + h, x0 * np.exp(ell + h * k3))
+        ell = ell + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(ell)):
+            raise IntegrationError(
+                f"integration lost finiteness at t = {t + h:.6f}", time=t + h
+            )
+        path.append(ell.copy())
+    if record:
+        return ell, t0 + h * np.arange(steps + 1), np.array(path)
+    return ell
+
+
+def _batch_with_facets(seed, scale):
+    x = np.random.default_rng(seed).random((100, 2)) * scale
+    x[:10, 0] = 0.0
+    x[10:20, 1] = 0.0
+    x[20] = 0.0
+    return x
+
+
+def random_fourier_system(rng, n, K):
+    def series(base):
+        return FourierSeries(base, cos=0.2 * base * rng.random(K), sin=0.2 * base * rng.random(K))
+
+    B = [series(0.5 + rng.random()) for _ in range(n)]
+    A = [[series((0.8 if i == j else 0.1) + 0.4 * rng.random()) for j in range(n)] for i in range(n)]
+    return PeriodicLVSystem(B, A)
+
+
+# 100 steps: h = 0.01 is inexact, so t + h and t0 + (k + 1) h differ for some k
+@pytest.mark.parametrize("steps", [64, 100, 256])
+def test_period_map_growth_matches_per_stage_rk4(steps):
+    loaded = load_model_file(MODELS / "periodic_lv2.json")
+    config = IntegrationConfig(steps)
+    model = loaded.map_model(config)
+    x = _batch_with_facets(steps, 1.2)
+    reference = np.exp(reference_log_gain(loaded.system, x, (0.0, 1.0), config))
+    assert np.array_equal(model.growth(x), reference)
+    assert np.array_equal(model.growth(x[3]), reference[3])
+
+
+def test_period_map_growth_matches_on_a_random_order_3_fourier_system():
+    system = random_fourier_system(np.random.default_rng(3), 3, 3)
+    config = IntegrationConfig(100)
+    x = np.random.default_rng(4).random((100, 3))
+    x[:10, 1] = 0.0
+    reference = np.exp(reference_log_gain(system, x, (0.0, 1.0), config))
+    assert np.array_equal(PoincareMapModel(system, config).growth(x), reference)
+
+
+def test_integrate_matches_per_stage_rk4_off_the_period_grid():
+    loaded = load_model_file(MODELS / "periodic_lv2.json")
+    config = IntegrationConfig(100)
+    for x0 in (np.array([0.2, 0.3]), np.array([0.0, 0.4])):
+        traj = integrate(loaded.system, x0, (0.3, 2.1), config)
+        _, times, path = reference_log_gain(loaded.system, x0, (0.3, 2.1), config, record=True)
+        states = x0 * np.exp(path)
+        states[:, x0 == 0.0] = 0.0
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+
+def test_blow_up_is_raised_at_the_per_stage_time():
+    config = IntegrationConfig(64)
+    x = np.array([[0.3, 0.2], [1.0, 0.0], [0.0, 0.5]])
+    with pytest.raises(IntegrationError) as expected:
+        reference_log_gain(DIVERGENT, x, (0.0, 1.0), config)
+    with pytest.raises(IntegrationError) as tabulated:
+        PoincareMapModel(DIVERGENT, config).growth(x)
+    assert str(tabulated.value) == str(expected.value)
+    assert tabulated.value.time == expected.value.time
+    with pytest.raises(IntegrationError) as expected:
+        reference_log_gain(DIVERGENT, x[1], (0.3, 2.1), config, record=True)
+    with pytest.raises(IntegrationError) as tabulated:
+        integrate(DIVERGENT, x[1], (0.3, 2.1), config)
+    assert str(tabulated.value) == str(expected.value)
+    assert tabulated.value.time == expected.value.time

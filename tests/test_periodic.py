@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,33 @@ class TestPoincareMap:
         assert conditions["C0"].verdict == "pass"
         assert not any(c.verdict == "fail" for c in conditions.values())
         assert conditions["Model"].verdict == "inconclusive"
+
+    def test_coefficient_table_is_built_once_per_model(self, vlper2, monkeypatch):
+        calls = []
+        evaluate = PeriodicLVSystem.coefficients_at
+        monkeypatch.setattr(
+            PeriodicLVSystem,
+            "coefficients_at",
+            lambda self, t: calls.append(t) or evaluate(self, t),
+        )
+        pm = PoincareMapModel(vlper2, IntegrationConfig(64))
+        pm.growth(np.array([0.2, 0.3]))
+        pm.growth(np.full((5, 2), 0.1))
+        pm.verified_axial_fixed_points()
+        # one table: the stage times t, t + h/2 and t + h of each of 64 steps
+        assert len(calls) == 3 * 64
+
+    def test_integration_memory_per_step_stays_small(self, vlper2):
+        # the coefficient table takes 144 bytes a step for n = 2; the bound is
+        # 1.1x the 193 bytes a step that per-stage evaluation peaked at over
+        # 200 periods of 256 steps (the table peaks at 201 there)
+        tracemalloc.start()
+        try:
+            integrate(vlper2, [0.2, 0.3], (0.0, 20.0), IntegrationConfig(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 193 * 20 * 64
 
     def test_axial_failure_when_growth_cannot_balance(self):
         # negative mean gain drives the axis to extinction: no fixed point
