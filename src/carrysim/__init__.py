@@ -1,6 +1,5 @@
 """Carrying simplices of competitive maps: criteria, computation, verification."""
 
-from .cone import OrderInterval
 from .criteria import (
     CompetitionModel,
     ConditionResult,

@@ -35,11 +35,12 @@ from .periodic import (
     wang_jiang_check,
 )
 from .simplex import (
+    CLOUD_STEPS,
     SurfaceDegeneracyError,
     compute_attractor_cloud,
     compute_carrying_simplex,
     sweep_1d,
-    unordered_check_points,
+    unordered_check,
     verify_surface,
     write_cloud_csv,
     write_surface_csv,
@@ -261,12 +262,7 @@ def cmd_simplex(args) -> int:
             model, m=args.grid, tol=args.tol, max_iter=args.max_iter
         )
         verification = verify_surface(
-            surface,
-            model,
-            samples=min(args.samples, 2_000),
-            starts=100,
-            steps=400,
-            seed=args.seed,
+            surface, model, samples=min(args.samples, 2_000), seed=args.seed
         )
         write_surface_csv(surface, out)
         meta = surface.metadata()
@@ -287,15 +283,13 @@ def cmd_simplex(args) -> int:
             return EXIT_NO_CONVERGENCE
         return EXIT_OK if verification.all_ok else EXIT_FAIL
 
-    cloud = compute_attractor_cloud(
-        model, n_points=args.samples, steps=200, seed=args.seed
-    )
-    unordered = unordered_check_points(cloud)
+    cloud = compute_attractor_cloud(model, n_points=args.samples, seed=args.seed)
+    unordered = unordered_check(cloud)
     write_cloud_csv(cloud, out)
     meta = {
         "mode": "point_cloud",
         "points": int(cloud.shape[0]),
-        "steps": 200,
+        "steps": CLOUD_STEPS,
         "seed": args.seed,
         "unordered": unordered.to_dict(),
     }

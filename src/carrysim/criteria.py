@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import OrderInterval, as_state
 from .models import (
     CompetitionModel,
     LeslieGowerModel,
@@ -22,9 +21,11 @@ from .models import (
     ModelEvaluationError,
     ModelParameterError,
     NeuralNetModel,
+    as_state,
 )
 
 STRICT_TIE_MARGIN = 1e-12  # strict inequalities fail at 0; ties below this are reported
+ATTRACTOR_STEPS = 200  # C1 iterates 2q at most this often to enter [0, 1.1 q]
 RETROTONE_MIN_PAIRS = 100  # C3 is inconclusive on fewer accepted pairs
 AXIAL_STEPS = 1_000  # C4 iterates each axis start this often ...
 AXIAL_TOL = 1e-8  # ... to come within this of q_i
@@ -117,28 +118,29 @@ def _check_square(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def default_region(q: np.ndarray, factor: float = 1.5) -> OrderInterval:
-    """The standing enclosure [0, 1.5 q] of the global attractor."""
-    return OrderInterval(np.zeros_like(q), factor * np.asarray(q, dtype=float))
+def _sampling_box(model: CompetitionModel) -> np.ndarray:
+    """Upper corner of [0, 1.5 q], the enclosure of the global attractor that
+    C2, C3 and C5 sample."""
+    return 1.5 * model.verified_axial_fixed_points()
 
 
 def _region_samples(
-    region: OrderInterval,
+    model: CompetitionModel,
     samples: int,
     rng: np.random.Generator,
     include_origin: bool = False,
 ) -> np.ndarray:
-    """Box samples plus points on every axis segment (and optionally 0)."""
-    n = region.n
+    """Samples of [0, 1.5 q]: box samples plus points on every axis segment
+    (and optionally 0)."""
+    upper = _sampling_box(model)
+    n = upper.size
     n_axis = max(1, samples // (5 * n)) if n > 1 else max(1, samples // 5)
     n_box = max(0, samples - n * n_axis - (1 if include_origin else 0))
-    parts = [region.sample(rng, n_box)]
+    parts = [rng.random((n_box, n)) * upper]
     for i in range(n):
         t = rng.random(n_axis)
         axis_pts = np.zeros((n_axis, n))
-        axis_pts[:, i] = region.lower[i] + (0.01 + 0.99 * t) * (
-            region.upper[i] - region.lower[i]
-        )
+        axis_pts[:, i] = (0.01 + 0.99 * t) * upper[i]
         parts.append(axis_pts)
     if include_origin:
         parts.append(np.zeros((1, n)))
@@ -193,19 +195,19 @@ def check_c0(model: CompetitionModel) -> ConditionResult:
     )
 
 
-def check_attractor_bound(
-    model: CompetitionModel, q: np.ndarray, steps: int = 200
-) -> ConditionResult:
-    """Empirical boundedness: the orbit of 2q enters [0, 1.1 q].
+def check_attractor_bound(model: CompetitionModel) -> ConditionResult:
+    """Empirical boundedness: the orbit of 2q enters [0, 1.1 q] within
+    ``ATTRACTOR_STEPS`` steps.
 
     This stands in for the global-attractor hypothesis, which is implied by
     the retrotone and axial conditions but is not directly certifiable by
     sampling.
     """
+    q = model.verified_axial_fixed_points()
     x = 2.0 * q
     bound = 1.1 * q
     escape = 10.0 * np.max(q)
-    for k in range(1, steps + 1):
+    for k in range(1, ATTRACTOR_STEPS + 1):
         x = model.step(x)
         if np.any(x > escape):
             return ConditionResult(
@@ -228,17 +230,14 @@ def check_attractor_bound(
         "C1",
         "fail",
         worst=float(np.max(x / np.where(q > 0, q, 1.0))),
-        witness={"step": steps, "x": x},
-        samples=steps,
-        note=f"orbit from 2q did not enter [0, 1.1q] within {steps} steps",
+        witness={"step": ATTRACTOR_STEPS, "x": x},
+        samples=ATTRACTOR_STEPS,
+        note=f"orbit from 2q did not enter [0, 1.1q] within {ATTRACTOR_STEPS} steps",
     )
 
 
 def check_sublinearity(
-    model: CompetitionModel,
-    region: OrderInterval | None = None,
-    samples: int = 10_000,
-    seed: int = 42,
+    model: CompetitionModel, samples: int = 10_000, seed: int = 42
 ) -> ConditionResult:
     """Decreasing returns to scale: lambda T(x) strictly below T(lambda x).
 
@@ -247,9 +246,7 @@ def check_sublinearity(
     failure, margins below 1e-12 are counted as near-ties.
     """
     rng = np.random.default_rng(seed)
-    if region is None:
-        region = default_region(model.verified_axial_fixed_points())
-    pts = _region_samples(region, samples, rng)
+    pts = _region_samples(model, samples, rng)
     keep = pts.sum(axis=1) > 0.0
     pts = pts[keep]
     lam = np.clip(rng.random(pts.shape[0]) * (1.0 - 1e-6), 1e-9, None)
@@ -264,19 +261,9 @@ def check_sublinearity(
     worst = float(margins[worst_idx])
     near_ties = int(np.count_nonzero((margins > 0.0) & (margins < STRICT_TIE_MARGIN)))
     note = f"near-ties (< {STRICT_TIE_MARGIN:g}): {near_ties}" if near_ties else ""
-    if worst <= 0.0:
-        return ConditionResult(
-            "C2",
-            "fail",
-            worst=worst,
-            witness={"x": pts[worst_idx], "lambda": float(lam[worst_idx])},
-            samples=int(pts.shape[0]),
-            seed=seed,
-            note=note,
-        )
     return ConditionResult(
         "C2",
-        "pass_sampled",
+        "fail" if worst <= 0.0 else "pass_sampled",
         worst=worst,
         witness={"x": pts[worst_idx], "lambda": float(lam[worst_idx])},
         samples=int(pts.shape[0]),
@@ -286,10 +273,7 @@ def check_sublinearity(
 
 
 def check_retrotone(
-    model: CompetitionModel,
-    region: OrderInterval | None = None,
-    samples: int = 10_000,
-    seed: int = 42,
+    model: CompetitionModel, samples: int = 10_000, seed: int = 42
 ) -> ConditionResult:
     """Backward monotonicity: T(x) majorizing T(y) forces x to strictly majorize y.
 
@@ -297,12 +281,11 @@ def check_retrotone(
     in the cone order; the accepted pairs are then checked.
     """
     rng = np.random.default_rng(seed)
-    if region is None:
-        region = default_region(model.verified_axial_fixed_points())
-    n = region.n
+    upper = _sampling_box(model)
+    n = upper.size
 
-    xs = region.sample(rng, samples)
-    ys = region.sample(rng, samples)
+    xs = rng.random((samples, n)) * upper
+    ys = rng.random((samples, n)) * upper
     # push a share of the pairs onto common proper facets
     facet_share = rng.random(samples) < 0.3
     if n > 1:
@@ -342,13 +325,9 @@ def check_retrotone(
         np.count_nonzero((strict_margin > 0.0) & (strict_margin < STRICT_TIE_MARGIN))
     )
     note = f"near-ties (< {STRICT_TIE_MARGIN:g}): {near_ties}" if near_ties else ""
-    if np.any(violated):
-        return ConditionResult(
-            "C3", "fail", worst=worst, witness=witness, samples=n_acc, seed=seed, note=note
-        )
     return ConditionResult(
         "C3",
-        "pass_sampled",
+        "fail" if np.any(violated) else "pass_sampled",
         worst=worst,
         witness=witness,
         samples=n_acc,
@@ -408,12 +387,7 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
     )
 
 
-def check_c5(
-    model: CompetitionModel,
-    region: OrderInterval | None = None,
-    samples: int = 10_000,
-    seed: int = 42,
-) -> ConditionResult:
+def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> ConditionResult:
     """Strictly negative growth Jacobian on the support of every sampled point.
 
     The Jacobian is evaluated once on the whole sample; the largest entry of
@@ -421,9 +395,7 @@ def check_c5(
     an empty support are vacuous.
     """
     rng = np.random.default_rng(seed)
-    if region is None:
-        region = default_region(model.verified_axial_fixed_points())
-    pts = _region_samples(region, samples, rng, include_origin=True)
+    pts = _region_samples(model, samples, rng, include_origin=True)
     jac = model.growth_jacobian(pts)
 
     entries = np.full(pts.shape[0], -np.inf)
@@ -660,7 +632,6 @@ def run_criteria(
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError):
         q = None
-    region = None if q is None else default_region(q)
 
     def guarded(ids, checker) -> list[ConditionResult]:
         """The checker's records, or an inconclusive one per id saying why not."""
@@ -677,11 +648,11 @@ def run_criteria(
         rng = np.random.default_rng(seed)
         return np.vstack([rng.random((INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
 
-    conditions += guarded(["C1"], lambda: [check_attractor_bound(model, q)])
-    conditions += guarded(["C2"], lambda: [check_sublinearity(model, region, samples, seed)])
-    conditions += guarded(["C3"], lambda: [check_retrotone(model, region, samples, seed)])
+    conditions += guarded(["C1"], lambda: [check_attractor_bound(model)])
+    conditions += guarded(["C2"], lambda: [check_sublinearity(model, samples, seed)])
+    conditions += guarded(["C3"], lambda: [check_retrotone(model, samples, seed)])
     conditions.append(check_axial(model))
-    conditions += guarded(["C5"], lambda: [check_c5(model, region, samples, seed)])
+    conditions += guarded(["C5"], lambda: [check_c5(model, samples, seed)])
     conditions += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(model, grid_resolution))
     conditions += guarded(["Eq4"], lambda: [check_spectral_grid(model, grid_resolution)])
     conditions += guarded(["InvPos"], lambda: [check_inverse_positivity(model, probe())])

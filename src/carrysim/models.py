@@ -7,14 +7,14 @@ families are implemented here; the Poincare map of a periodic ODE lives in
 
 All evaluators broadcast over a leading batch axis: ``x`` may be shaped
 ``(n,)`` or ``(N, n)``.
+
+Index convention: internally 0-based; reports and file formats use 1-based
+species indices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .cone import as_state
-
 
 Q_RESIDUAL_TOL = 1e-10  # relative residual of T(q_i e_i) = q_i e_i that q must meet
 
@@ -29,6 +29,20 @@ class ModelEvaluationError(RuntimeError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def as_state(x, n: int | None = None) -> np.ndarray:
+    """Coerce ``x`` to a valid state vector: 1-D, finite, nonnegative."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"state vector must be 1-D, got shape {arr.shape}")
+    if n is not None and arr.size != n:
+        raise ValueError(f"dimension mismatch: expected {n}, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("state vector has non-finite coordinates")
+    if np.any(arr < 0.0):
+        raise ValueError("state vector has negative coordinates")
+    return arr
 
 
 def _check_batch(x, n: int) -> np.ndarray:

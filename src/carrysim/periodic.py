@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import as_state
 from .criteria import ConditionResult
-from .models import CompetitionModel, ModelEvaluationError, ModelParameterError
+from .models import CompetitionModel, ModelEvaluationError, ModelParameterError, as_state
 
 
 class IntegrationError(ModelEvaluationError):

@@ -20,6 +20,10 @@ import numpy as np
 
 from .models import CompetitionModel
 
+ASYMPTOTIC_STARTS = 100  # random starts of the asymptotic check in verify_surface ...
+ASYMPTOTIC_STEPS = 400  # ... each iterated this often
+CLOUD_STEPS = 200  # map steps from each random seed of the n >= 4 point cloud
+
 
 class SurfaceDegeneracyError(RuntimeError):
     """The pushed-forward direction map folded or left gaps on the grid."""
@@ -422,13 +426,7 @@ def invariance_residual(
     rng = np.random.default_rng(seed)
     dirs = rng.dirichlet(np.ones(surface.n), size=samples)
     radii = surface.radius_at(dirs)
-    pts = radii[:, None] * dirs
-    images = model.step(pts)
-    rho = images.sum(axis=1)
-    if np.any(rho <= 0.0):
-        raise ValueError("a surface point mapped to the origin")
-    img_dirs = images / rho[:, None]
-    gaps = np.abs(surface.radius_at(img_dirs) - rho)
+    gaps = _radial_gaps(surface, model.step(radii[:, None] * dirs))
     return float(gaps.max() / surface.q.sum())
 
 
@@ -449,12 +447,9 @@ class UnorderedResult:
         }
 
 
-def unordered_check(surface: RadialSurface) -> UnorderedResult:
-    """Exact pairwise comparison of node points: no two may be ordered."""
-    return unordered_check_points(surface.points())
-
-
-def unordered_check_points(X: np.ndarray) -> UnorderedResult:
+def unordered_check(X: np.ndarray) -> UnorderedResult:
+    """Exact pairwise comparison of points (a surface's nodes or a cloud): no
+    two may be ordered."""
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     if N < 2:
@@ -524,57 +519,53 @@ class AsymptoticStats:
 
 
 def asymptotic_check(
-    surface: RadialSurface,
-    model: CompetitionModel,
-    initial_points,
-    steps: int = 400,
-    tol: float | None = None,
+    surface: RadialSurface, model: CompetitionModel, initial_points
 ) -> AsymptoticStats:
     """Trajectories of nonzero starts close onto the surface.
 
-    Records the radial gap |r(dir(x_k)) - |x_k|_1| at half time and at the
-    end; a point passes when the final gap is below 10*tol and has not grown
-    since half time.  The growth comparison is applied above the grid's
-    representation floor: while crossing the surface a trajectory can dip
-    below the piecewise-linear interpolation error before settling at it,
-    and gaps under that floor are indistinguishable from it.  Escaping the
-    box [0, 10 q] fails immediately.
+    Iterates every start ``ASYMPTOTIC_STEPS`` times and records the radial
+    gap |r(dir(x_k)) - |x_k|_1| at half time and at the end.  The gap
+    threshold ``tol`` is the grid's :func:`discretization_floor`, the larger
+    of the iteration tolerance and the interpolation error: a coarse grid
+    cannot witness tighter gaps.  A point passes when its final gap is
+    below 10*tol and has not grown since half time, above tol: while
+    crossing the surface a trajectory can dip below the interpolation error
+    before settling at it.  Escaping the box [0, 10 q] fails immediately.
     """
-    if tol is None:
-        tol = surface.tol
     X = np.atleast_2d(np.asarray(initial_points, dtype=float))
     if np.any(X.sum(axis=1) == 0.0):
         raise ValueError("asymptotic check requires nonzero initial points")
     box = 10.0 * surface.q
     escaped = np.zeros(X.shape[0], dtype=bool)
     gaps_half = np.zeros(X.shape[0])
-    half = max(1, steps // 2)
-    for k in range(1, steps + 1):
+    half = max(1, ASYMPTOTIC_STEPS // 2)
+    for k in range(1, ASYMPTOTIC_STEPS + 1):
         X = model.step(X)
         escaped |= np.any(X > box, axis=1)
         if k == half:
             gaps_half = _radial_gaps(surface, X)
     gaps_end = _radial_gaps(surface, X)
-    floor = discretization_floor(surface)
+    tol = discretization_floor(surface)
     ok = (
         not escaped.any()
         and bool(np.all(gaps_end < 10.0 * tol))
-        and bool(np.all(gaps_end <= np.maximum(gaps_half, floor) + 1e-15))
+        and bool(np.all(gaps_end <= np.maximum(gaps_half, tol) + 1e-15))
     )
     return AsymptoticStats(
         passed=ok,
         gaps_half=gaps_half,
         gaps_end=gaps_end,
         escaped=int(escaped.sum()),
-        steps=steps,
+        steps=ASYMPTOTIC_STEPS,
         tol=tol,
     )
 
 
 def _radial_gaps(surface: RadialSurface, X: np.ndarray) -> np.ndarray:
+    """|r(dir(x)) - |x|_1| for every row x of ``X``, none of them 0."""
     rho = X.sum(axis=1)
-    if np.any(rho == 0.0):
-        raise ValueError("a trajectory reached the origin")
+    if np.any(rho <= 0.0):
+        raise ValueError("a surface point or trajectory reached the origin")
     dirs = X / rho[:, None]
     return np.abs(surface.radius_at(dirs) - rho)
 
@@ -633,23 +624,16 @@ def verify_surface(
     surface: RadialSurface,
     model: CompetitionModel,
     samples: int = 1_000,
-    starts: int = 100,
-    steps: int = 400,
     seed: int = 42,
 ) -> SurfaceVerification:
-    """Run the full defining-property suite against a computed surface.
-
-    The asymptotic gap threshold is the larger of the iteration tolerance
-    and the grid's discretization floor: a coarse grid cannot witness gaps
-    tighter than its own interpolation error.
-    """
+    """Run the full defining-property suite against a computed surface; the
+    asymptotic check starts from ``ASYMPTOTIC_STARTS`` points in [0.05 q, 1.5 q]."""
     rng = np.random.default_rng(seed)
-    asymptotic_tol = discretization_floor(surface)
     residual = invariance_residual(surface, model, samples=samples, seed=seed)
-    unordered = unordered_check(surface)
+    unordered = unordered_check(surface.points())
     lows = 0.05 * surface.q
-    starts_arr = lows + rng.random((starts, surface.n)) * (1.45 * surface.q)
-    asym = asymptotic_check(surface, model, starts_arr, steps=steps, tol=asymptotic_tol)
+    starts = lows + rng.random((ASYMPTOTIC_STARTS, surface.n)) * (1.45 * surface.q)
+    asym = asymptotic_check(surface, model, starts)
     axial_errors = np.abs(surface.axis_radii() - surface.q)
     return SurfaceVerification(
         invariance=residual,
@@ -666,16 +650,19 @@ def verify_surface(
 
 
 def compute_attractor_cloud(
-    model: CompetitionModel,
-    n_points: int = 10_000,
-    steps: int = 200,
-    seed: int = 42,
+    model: CompetitionModel, n_points: int = 10_000, seed: int = 42
 ) -> np.ndarray:
-    """Iterate random seeds toward the attractor; no surface reconstruction."""
+    """Iterate random seeds in [0.05 q, 1.5 q] ``CLOUD_STEPS`` times.
+
+    The cloud samples the global attractor, not the carrying simplex: no
+    surface is reconstructed, and where the attractor is smaller than the
+    simplex (an attracting interior equilibrium, say) the points collapse
+    onto it instead of spreading over the simplex.
+    """
     rng = np.random.default_rng(seed)
     q = model.verified_axial_fixed_points()
     X = (0.05 + 1.45 * rng.random((n_points, model.n))) * q
-    for _ in range(steps):
+    for _ in range(CLOUD_STEPS):
         X = model.step(X)
     return X
 

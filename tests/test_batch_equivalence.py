@@ -13,22 +13,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carrysim.cone import as_state
 from carrysim.criteria import (
     ConditionResult,
     _grid_points,
-    _region_samples,
     check_axial,
     check_c5,
     check_inverse_positivity,
+    check_retrotone,
     check_spectral_grid,
+    check_sublinearity,
     competition_matrix,
-    default_region,
     spectral_radius,
 )
 from carrysim import simplex
 from carrysim.modelio import load_model_file
-from carrysim.models import LeslieGowerModel, MayOsterModel, ModelParameterError
+from carrysim.models import LeslieGowerModel, MayOsterModel, ModelParameterError, as_state
 from carrysim.periodic import (
     FourierSeries,
     IntegrationConfig,
@@ -114,10 +113,33 @@ def reference_axial(model, steps=1_000, tol=1e-8):
     )
 
 
+def reference_box_samples(lower, upper, rng, size):
+    """Uniform samples of the box [lower, upper], by the order-interval formula."""
+    u = rng.random((size, lower.size))
+    return lower + u * (upper - lower)
+
+
+def reference_region_samples(model, samples, rng, include_origin=False):
+    """Samples of [0, 1.5 q] as an order interval with an explicit lower corner."""
+    upper = 1.5 * np.asarray(model.verified_axial_fixed_points(), dtype=float)
+    lower = np.zeros_like(upper)
+    n = upper.size
+    n_axis = max(1, samples // (5 * n)) if n > 1 else max(1, samples // 5)
+    n_box = max(0, samples - n * n_axis - (1 if include_origin else 0))
+    parts = [reference_box_samples(lower, upper, rng, n_box)]
+    for i in range(n):
+        t = rng.random(n_axis)
+        axis_pts = np.zeros((n_axis, n))
+        axis_pts[:, i] = lower[i] + (0.01 + 0.99 * t) * (upper[i] - lower[i])
+        parts.append(axis_pts)
+    if include_origin:
+        parts.append(np.zeros((1, n)))
+    return np.vstack(parts)
+
+
 def reference_c5(model, samples=10_000, seed=42):
     rng = np.random.default_rng(seed)
-    region = default_region(model.verified_axial_fixed_points())
-    pts = _region_samples(region, samples, rng, include_origin=True)
+    pts = reference_region_samples(model, samples, rng, include_origin=True)
     jac = model.growth_jacobian(pts)
     worst = -np.inf
     worst_witness = None
@@ -328,6 +350,54 @@ def test_c5_matches_reference(model):
     assert record["worst"] == worst
     assert record["witness"] == ConditionResult("C5", "", witness=witness).to_record()["witness"]
     assert batched.note == (f"near-ties (> -1e-12): {near_ties}" if near_ties else "")
+
+
+SAMPLED_MODELS = [
+    MayOsterModel([0.7], [[1.3]]),
+    MayOsterModel([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]]),
+    LeslieGowerModel([1.3, 1.2, 1.25], [[1, 0.2, 0.1], [0.3, 1, 0.2], [0.1, 0.2, 1]]),
+]
+
+
+def recorded_inputs(monkeypatch, model, method):
+    """The arrays passed to ``model.<method>``, in call order."""
+    calls = []
+    original = getattr(model, method)
+    monkeypatch.setattr(model, method, lambda x: calls.append(np.array(x)) or original(x))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 2026])
+@pytest.mark.parametrize("model", SAMPLED_MODELS, ids=["n1", "n2", "n3"])
+def test_sampled_checkers_draw_the_reference_stream(model, seed, monkeypatch):
+    upper = 1.5 * model.verified_axial_fixed_points()  # cached: q costs no map call below
+    # C2 without the origin row: the first map call holds the nonzero samples
+    steps = recorded_inputs(monkeypatch, model, "step")
+    check_sublinearity(model, samples=997, seed=seed)
+    pts = reference_region_samples(model, 997, np.random.default_rng(seed))
+    assert np.array_equal(steps[0], pts[pts.sum(axis=1) > 0.0])
+
+    # C3: two box draws, then the facet masks from the same stream
+    steps.clear()
+    check_retrotone(model, samples=997, seed=seed)
+    rng = np.random.default_rng(seed)
+    xs = reference_box_samples(np.zeros(model.n), upper, rng, 997)
+    ys = reference_box_samples(np.zeros(model.n), upper, rng, 997)
+    facet_share = rng.random(997) < 0.3
+    if model.n > 1:
+        masks = rng.random((997, model.n)) < 0.5
+        masks[~facet_share] = True
+        masks[~masks.any(axis=1)] = True
+        xs, ys = np.where(masks, xs, 0.0), np.where(masks, ys, 0.0)
+    assert np.array_equal(steps[0], xs) and np.array_equal(steps[1], ys)
+
+    # C5 with the origin row: one Jacobian call on the whole sample
+    jacobians = recorded_inputs(monkeypatch, model, "growth_jacobian")
+    check_c5(model, samples=997, seed=seed)
+    reference = reference_region_samples(
+        model, 997, np.random.default_rng(seed), include_origin=True
+    )
+    assert len(jacobians) == 1 and np.array_equal(jacobians[0], reference)
 
 
 def test_verified_q_is_checked_once_and_shared(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carrysim.cli import main
@@ -17,6 +18,9 @@ OVERSHOOT = {
     "B": [0.5, 0.4, 0.45],
     "A": [[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]],
 }
+# four species whose carrying simplex is the plane a.x = 0.1: the n >= 4 point cloud
+PLANAR4_ROW = [1.0, 0.8, 0.6, 0.4]
+PLANAR4 = {"type": "leslie_gower", "n": 4, "C": [1.1] * 4, "A": [PLANAR4_ROW] * 4}
 
 
 def model(name: str) -> str:
@@ -116,10 +120,16 @@ def test_check_output_is_byte_identical_for_a_fixed_seed(name, extra, tmp_path):
         (["sweep1d", "--b-min", "0.5", "--b-max", "3.5", "--b-count", "40"], ["out"]),
         (["wangjiang", "--model", model("periodic_lv2"), "--pairs", "2", "--ode-steps", "64"],
          ["out"]),  # fmt: skip
+        (["simplex", "--model", "PLANAR4", "--grid", "4", "--samples", "500"],
+         ["out", "out.meta.json"]),  # fmt: skip
     ],
-    ids=["simplex", "simulate", "sweep1d", "wangjiang"],
+    ids=["simplex", "simulate", "sweep1d", "wangjiang", "point_cloud"],
 )
 def test_outputs_are_byte_identical_for_a_fixed_seed(argv, outputs, tmp_path, capsys):
+    if "PLANAR4" in argv:
+        path = tmp_path / "planar4.json"
+        path.write_text(json.dumps(PLANAR4))
+        argv = [str(path) if a == "PLANAR4" else a for a in argv]
     written = []
     for run in ("first", "second"):
         (tmp_path / run).mkdir()
@@ -128,6 +138,26 @@ def test_outputs_are_byte_identical_for_a_fixed_seed(argv, outputs, tmp_path, ca
         files = [(tmp_path / run / name).read_bytes() for name in outputs]
         written.append((files, streams.out.replace(run, ""), streams.err))
     assert written[0] == written[1]
+
+
+def test_simplex_writes_a_point_cloud_for_four_species(tmp_path, capsys):
+    path = tmp_path / "planar4.json"
+    path.write_text(json.dumps(PLANAR4))
+    out = tmp_path / "cloud.csv"
+    argv = ["simplex", "--model", str(path), "--grid", "4", "--samples", "500", "--out", str(out)]
+    assert main(argv) == 0  # the criteria pre-check passes
+    assert capsys.readouterr().out == (
+        f"point cloud written to {out} (500 points)\nunordered: pass\n"
+    )
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert (meta["mode"], meta["points"], meta["steps"], meta["seed"]) == (
+        "point_cloud", 500, 200, 42,
+    )  # fmt: skip
+    assert meta["unordered"]["ok"] is True
+    cloud = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert cloud.shape == (500, 4)
+    # on the plane: a.x contracts toward 0.1 by 1/1.1 a step, 5e-9 after 200 steps
+    assert np.allclose(cloud @ PLANAR4_ROW, 0.1, rtol=0.0, atol=1e-9)
 
 
 def test_simplex_refuses_when_the_criteria_fail(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from carrysim import criteria
 from carrysim.criteria import (
     RETROTONE_MIN_PAIRS,
+    _support_groups,
     check_attractor_bound,
     check_axial,
     check_c0,
@@ -207,7 +208,7 @@ class TestConditionCheckers:
         assert res.witness["i"] == 1
 
     def test_attractor_bound(self, may2):
-        res = check_attractor_bound(may2, may2.axial_fixed_points())
+        res = check_attractor_bound(may2)
         assert res.verdict == "pass_sampled"
 
     def test_sublinearity_passes(self, may2):
@@ -380,3 +381,19 @@ class TestFullReport:
             assert conditions[cond_id].note.startswith("competition matrix undefined")
         assert conditions["InvPos"].seed == 7
         assert conditions["Eq4"].seed is None
+
+
+def supports(points):
+    """The nonempty supports among the points, each with its row indices."""
+    pts = np.array(points, dtype=float)
+    return {tuple(support.tolist()): rows.tolist() for support, rows in _support_groups(pts)}
+
+
+def test_support_examples():
+    assert supports([[0.0, 2.5, 0.0]]) == {(1,): [0]}
+    assert supports([[0.0, 0.0, 0.0]]) == {}  # the origin has no support
+    assert supports([[1.0, 0.5], [0.0, 3.0], [2.0, 1.0]]) == {(0, 1): [0, 2], (1,): [1]}
+
+
+def test_support_is_exact():
+    assert supports([[1e-320, 0.0]]) == {(0,): [0]}

@@ -9,6 +9,7 @@ from carrysim.models import (
     ModelParameterError,
     NeuralNetModel,
     ShiftedSoftplus,
+    as_state,
     finite_difference_growth_jacobian,
 )
 
@@ -196,3 +197,15 @@ def test_batched_and_single_evaluations_agree(may2):
     jb = may2.growth_jacobian(pts)
     assert jb.shape == (20, 2, 2)
     assert np.allclose(jb[3], may2.growth_jacobian(pts[3]), atol=0)
+
+
+def test_as_state_rejections():
+    with pytest.raises(ValueError, match="must be 1-D"):
+        as_state([[0.1, 0.2]])
+    with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
+        as_state([0.1, 0.2], n=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_state([0.1, bad], n=2)
+    with pytest.raises(ValueError, match="negative"):
+        as_state([0.1, -1e-300], n=2)

@@ -17,7 +17,6 @@ from carrysim.simplex import (
     invariance_residual,
     sweep_1d,
     unordered_check,
-    unordered_check_points,
     verify_surface,
     write_surface_csv,
     write_sweep_csv,
@@ -64,7 +63,7 @@ class TestComputeSurface:
         s = compute_carrying_simplex(may2, m=64, tol=1e-10)
         assert s.converged
         assert np.all(np.abs(s.axis_radii() - [0.5, 0.4]) < 1e-8)
-        assert unordered_check(s).ok
+        assert unordered_check(s.points()).ok
 
     def test_uncoupled_product_fixed_point(self):
         model = MayOsterModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
@@ -99,7 +98,7 @@ class TestComputeSurface:
         s = compute_carrying_simplex(model, m=16, tol=1e-9)
         assert s.converged
         assert np.all(np.abs(s.axis_radii() - s.q) < 1e-7)
-        assert unordered_check(s).ok
+        assert unordered_check(s.points()).ok
         assert invariance_residual(s, model, samples=400, seed=3) < 0.05
 
     def test_3d_weak_coupling_needs_resolution(self):
@@ -110,7 +109,7 @@ class TestComputeSurface:
             [0.4, 0.35, 0.3], [[1, 0.1, 0.1], [0.1, 1, 0.1], [0.1, 0.1, 1]]
         )
         s = compute_carrying_simplex(model, m=32, tol=1e-9)
-        assert unordered_check(s).ok
+        assert unordered_check(s.points()).ok
 
     def test_refinement_stability_flat(self):
         # identical rows: the carrying simplex is the exactly-representable
@@ -171,10 +170,10 @@ class TestUnordered:
             grid=g, radii=np.full(len(g), 0.7), q=np.array([0.7, 0.7]),
             tol=1e-10, iterations=1, final_delta=0.0, converged=True, max_iter=1,
         )
-        assert unordered_check(s).ok
+        assert unordered_check(s.points()).ok
 
     def test_explicit_ordered_pair_fails(self):
-        res = unordered_check_points(
+        res = unordered_check(
             np.array([[0.6, 0.1], [0.5, 0.05], [0.1, 0.9]])
         )
         assert not res.ok
@@ -184,53 +183,56 @@ class TestUnordered:
         }
 
     def test_tied_coordinate_is_ordered(self):
-        res = unordered_check_points(np.array([[0.5, 0.1], [0.5, 0.3]]))
+        res = unordered_check(np.array([[0.5, 0.1], [0.5, 0.3]]))
         assert not res.ok
 
     def test_bruteforce_matches_sorted_scan(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             pts = rng.random((40, 2))
-            fast = unordered_check_points(pts)
-            slow = unordered_check_points(np.c_[pts, np.zeros(40)][:, [0, 1, 2]])
+            fast = unordered_check(pts)
+            slow = unordered_check(np.c_[pts, np.zeros(40)][:, [0, 1, 2]])
             # embedding in 3-d with a zero coordinate preserves orderedness
             assert fast.ok == slow.ok
 
     def test_3d_brute_force(self):
         pts = np.array([[0.5, 0.1, 0.2], [0.4, 0.05, 0.1], [0.1, 0.8, 0.05]])
-        res = unordered_check_points(pts)
+        res = unordered_check(pts)
         assert not res.ok
 
 
 class TestAsymptotic:
     def test_scalar_convergence(self, may1):
         s = compute_carrying_simplex(may1, tol=1e-12)
-        stats = asymptotic_check(s, may1, np.array([[2.0]]), steps=200)
+        stats = asymptotic_check(s, may1, np.array([[2.0]]))
         assert stats.passed
+        assert (stats.steps, stats.tol) == (400, s.tol)
         assert stats.gaps_end.max() < 1e-11
 
     def test_point_on_surface_stays(self, may2):
         s = compute_carrying_simplex(may2, m=2048, tol=1e-10)
         start = s.points()[1024][None, :]
-        stats = asymptotic_check(s, may2, start, steps=100, tol=1e-6)
+        stats = asymptotic_check(s, may2, start)
         assert stats.passed
+        assert stats.tol == discretization_floor(s) < 1e-6
 
     def test_random_starts_close_onto_surface(self, may2):
         s = compute_carrying_simplex(may2, m=4096, tol=1e-10)
         rng = np.random.default_rng(12)
         starts = 0.05 * s.q + rng.random((50, 2)) * 1.45 * s.q
-        stats = asymptotic_check(s, may2, starts, steps=300, tol=2e-7)
+        stats = asymptotic_check(s, may2, starts)
         assert stats.passed
         assert stats.escaped == 0
+        assert stats.tol == discretization_floor(s) < 2e-7
 
     def test_rejects_zero_start(self, may2):
         s = compute_carrying_simplex(may2, m=16, tol=1e-8)
         with pytest.raises(ValueError, match="nonzero"):
-            asymptotic_check(s, may2, np.zeros((1, 2)), steps=10)
+            asymptotic_check(s, may2, np.zeros((1, 2)))
 
     def test_verify_surface_bundle(self, lg2):
         s = compute_carrying_simplex(lg2, m=512, tol=1e-10)
-        report = verify_surface(s, lg2, samples=300, starts=30, steps=200, seed=5)
+        report = verify_surface(s, lg2, samples=300, seed=5)
         assert report.unordered.ok
         assert report.asymptotic.passed
         assert report.all_ok
@@ -262,7 +264,7 @@ class TestPointCloud:
             [0.4, 0.35, 0.3, 0.25],
             np.eye(4) + 0.05 * (np.ones((4, 4)) - np.eye(4)),
         )
-        cloud = compute_attractor_cloud(model, n_points=400, steps=150, seed=0)
+        cloud = compute_attractor_cloud(model, n_points=400, seed=0)
         assert cloud.shape == (400, 4)
         q = model.axial_fixed_points()
         assert np.all(cloud <= 1.1 * q)
