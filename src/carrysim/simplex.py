@@ -21,8 +21,10 @@ import numpy as np
 from .models import CompetitionModel
 
 ASYMPTOTIC_STARTS = 100  # random starts of the asymptotic check in verify_surface ...
-ASYMPTOTIC_STEPS = 400  # ... each iterated this often
-CLOUD_STEPS = 200  # map steps from each random seed of the n >= 4 point cloud
+# ... each iterated this often; the loop stops early once a map step returns
+# its input bit for bit, since every later state is then that same array
+ASYMPTOTIC_STEPS = 400
+CLOUD_STEPS = 200  # map steps of the n >= 4 point cloud, with the same early stop
 
 
 class SurfaceDegeneracyError(RuntimeError):
@@ -530,21 +532,33 @@ def asymptotic_check(
     cannot witness tighter gaps.  A point passes when its final gap is
     below 10*tol and has not grown since half time, above tol: while
     crossing the surface a trajectory can dip below the interpolation error
-    before settling at it.  Escaping the box [0, 10 q] fails immediately.
+    before settling at it.  A start that leaves the box [0, 10 q] is
+    iterated on with the others and fails the check at the end.
+
+    The batch stops early once a step returns its input bit for bit
+    (compared as bytes, so -0.0 and NaN stay exact): ``model.step`` is a
+    deterministic function of its input, so every later state, including
+    the half-time one if it is still ahead, is that same array.  No escape
+    flag can change after the stop, and the reported ``steps`` stays
+    ``ASYMPTOTIC_STEPS``.
     """
     X = np.atleast_2d(np.asarray(initial_points, dtype=float))
     if np.any(X.sum(axis=1) == 0.0):
         raise ValueError("asymptotic check requires nonzero initial points")
     box = 10.0 * surface.q
     escaped = np.zeros(X.shape[0], dtype=bool)
-    gaps_half = np.zeros(X.shape[0])
-    half = max(1, ASYMPTOTIC_STEPS // 2)
+    gaps_half = None
     for k in range(1, ASYMPTOTIC_STEPS + 1):
-        X = model.step(X)
-        escaped |= np.any(X > box, axis=1)
-        if k == half:
+        Y = model.step(X)
+        escaped |= np.any(Y > box, axis=1)
+        if Y.tobytes() == X.tobytes():
+            break
+        X = Y
+        if k == ASYMPTOTIC_STEPS // 2:
             gaps_half = _radial_gaps(surface, X)
     gaps_end = _radial_gaps(surface, X)
+    if gaps_half is None:
+        gaps_half = gaps_end
     tol = discretization_floor(surface)
     ok = (
         not escaped.any()
@@ -657,13 +671,19 @@ def compute_attractor_cloud(
     The cloud samples the global attractor, not the carrying simplex: no
     surface is reconstructed, and where the attractor is smaller than the
     simplex (an attracting interior equilibrium, say) the points collapse
-    onto it instead of spreading over the simplex.
+    onto it instead of spreading over the simplex.  As in
+    :func:`asymptotic_check`, the iteration stops once a step returns its
+    input bit for bit: the map is deterministic, so the remaining steps
+    would return that same array.
     """
     rng = np.random.default_rng(seed)
     q = model.verified_axial_fixed_points()
     X = (0.05 + 1.45 * rng.random((n_points, model.n))) * q
     for _ in range(CLOUD_STEPS):
-        X = model.step(X)
+        Y = model.step(X)
+        if Y.tobytes() == X.tobytes():
+            break
+        X = Y
     return X
 
 

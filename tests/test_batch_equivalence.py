@@ -783,3 +783,115 @@ def test_blow_up_is_raised_at_the_per_stage_time():
         integrate(DIVERGENT, x[1], (0.3, 2.1), config)
     assert str(tabulated.value) == str(expected.value)
     assert tabulated.value.time == expected.value.time
+
+
+# ---------------------------------------------------------------------------
+# asymptotic check and point cloud: the early stop against the fixed-length loops
+# ---------------------------------------------------------------------------
+
+
+def reference_asymptotic_check(surface, model, initial_points):
+    """Every start iterated ``ASYMPTOTIC_STEPS`` times, with no early stop."""
+    X = np.atleast_2d(np.asarray(initial_points, dtype=float))
+    box = 10.0 * surface.q
+    escaped = np.zeros(X.shape[0], dtype=bool)
+    for k in range(1, simplex.ASYMPTOTIC_STEPS + 1):
+        X = model.step(X)
+        escaped |= np.any(X > box, axis=1)
+        if k == simplex.ASYMPTOTIC_STEPS // 2:
+            gaps_half = simplex._radial_gaps(surface, X)
+    gaps_end = simplex._radial_gaps(surface, X)
+    tol = simplex.discretization_floor(surface)
+    ok = (
+        not escaped.any()
+        and bool(np.all(gaps_end < 10.0 * tol))
+        and bool(np.all(gaps_end <= np.maximum(gaps_half, tol) + 1e-15))
+    )
+    return simplex.AsymptoticStats(
+        passed=ok,
+        gaps_half=gaps_half,
+        gaps_end=gaps_end,
+        escaped=int(escaped.sum()),
+        steps=simplex.ASYMPTOTIC_STEPS,
+        tol=tol,
+    )
+
+
+def reference_attractor_cloud(model, n_points, seed):
+    """Every seed iterated ``CLOUD_STEPS`` times, with no early stop."""
+    rng = np.random.default_rng(seed)
+    q = model.verified_axial_fixed_points()
+    X = (0.05 + 1.45 * rng.random((n_points, model.n))) * q
+    for _ in range(simplex.CLOUD_STEPS):
+        X = model.step(X)
+    return X
+
+
+def verify_starts(q, seed=42):
+    """The starts ``verify_surface`` draws at this seed."""
+    rng = np.random.default_rng(seed)
+    return 0.05 * q + rng.random((simplex.ASYMPTOTIC_STARTS, q.size)) * (1.45 * q)
+
+
+def _asymptotic_case(name, request):
+    """(surface, model, starts) of each case."""
+    if name == "periodic64":
+        model = request.getfixturevalue("periodic64")
+    elif name == "escaping":
+        # the surface's q is a tenth of may2's, so the box 10 q is may2's q,
+        # which the first step from a start above q crosses
+        may2 = request.getfixturevalue("may2")
+        surface = compute_carrying_simplex(MayOsterModel([0.5, 0.4], [[10.0, 2.0], [3.0, 10.0]]))
+        return surface, may2, verify_starts(may2.verified_axial_fixed_points())
+    else:
+        model = {
+            "neural2": request.getfixturevalue("neural2"),
+            "ricker_2cycle": MayOsterModel([2.2], [[1.0]]),
+            "ricker_chaotic": MayOsterModel([3.0], [[1.0]]),
+        }[name]
+    # the Ricker surfaces do not converge; only the loops are compared here
+    surface = compute_carrying_simplex(model, max_iter=50)
+    return surface, model, verify_starts(surface.q)
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        ("periodic64", 72),  # a bit-for-bit fixed point before half time
+        ("neural2", 294),  # ... after half time
+        ("ricker_2cycle", 400),  # a 2-cycle: no step returns its input
+        ("ricker_chaotic", 400),  # no repeat at all
+        ("escaping", 142),
+    ],
+)
+def test_asymptotic_check_matches_the_fixed_length_loop(name, calls, request, monkeypatch):
+    surface, model, starts = _asymptotic_case(name, request)
+    steps = recorded_inputs(monkeypatch, model, "step")
+    stats = simplex.asymptotic_check(surface, model, starts)
+    assert len(steps) == calls
+    reference = reference_asymptotic_check(surface, model, starts)
+    assert (stats.passed, stats.escaped, stats.steps, stats.tol) == (
+        reference.passed, reference.escaped, reference.steps, reference.tol,
+    )  # fmt: skip
+    assert np.array_equal(stats.gaps_half, reference.gaps_half)
+    assert np.array_equal(stats.gaps_end, reference.gaps_end)
+    assert (stats.escaped > 0) == (name == "escaping")
+
+
+WEAK4 = MayOsterModel(
+    [0.4, 0.35, 0.3, 0.25], np.eye(4) + 0.05 * (np.ones((4, 4)) - np.eye(4))
+)
+PLANAR4 = LeslieGowerModel([1.1] * 4, [[1.0, 0.8, 0.6, 0.4]] * 4)
+
+
+@pytest.mark.parametrize(
+    "model, calls",
+    [(WEAK4, 170), (PLANAR4, 200)],  # the planar cloud contracts onto its plane for all 200
+    ids=["weak4", "planar4"],
+)
+def test_attractor_cloud_matches_the_fixed_length_loop(model, calls, monkeypatch):
+    model.verified_axial_fixed_points()  # cached: q costs no map call below
+    steps = recorded_inputs(monkeypatch, model, "step")
+    cloud = simplex.compute_attractor_cloud(model, n_points=500, seed=42)
+    assert len(steps) == calls
+    assert np.array_equal(cloud, reference_attractor_cloud(model, 500, 42))
