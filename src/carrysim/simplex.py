@@ -21,10 +21,8 @@ import numpy as np
 from .models import CompetitionModel
 
 ASYMPTOTIC_STARTS = 100  # random starts of the asymptotic check in verify_surface ...
-# ... each iterated this often; the loop stops early once a map step returns
-# its input bit for bit, since every later state is then that same array
-ASYMPTOTIC_STEPS = 400
-CLOUD_STEPS = 200  # map steps of the n >= 4 point cloud, with the same early stop
+ASYMPTOTIC_STEPS = 400  # ... each iterated this often
+CLOUD_STEPS = 200  # map steps from each random seed of the n >= 4 point cloud
 
 
 class SurfaceDegeneracyError(RuntimeError):
@@ -532,15 +530,10 @@ def asymptotic_check(
     cannot witness tighter gaps.  A point passes when its final gap is
     below 10*tol and has not grown since half time, above tol: while
     crossing the surface a trajectory can dip below the interpolation error
-    before settling at it.  A start that leaves the box [0, 10 q] is
-    iterated on with the others and fails the check at the end.
-
-    The batch stops early once a step returns its input bit for bit
-    (compared as bytes, so -0.0 and NaN stay exact): ``model.step`` is a
-    deterministic function of its input, so every later state, including
-    the half-time one if it is still ahead, is that same array.  No escape
-    flag can change after the stop, and the reported ``steps`` stays
-    ``ASYMPTOTIC_STEPS``.
+    before settling at it.  A start leaving the box [0, 10 q] fails at the
+    end.  The loop stops once a step returns its input bit for bit: the
+    step is deterministic, so every later state, the half-time one if still
+    ahead, is that array, and ``steps`` stays ASYMPTOTIC_STEPS.
     """
     X = np.atleast_2d(np.asarray(initial_points, dtype=float))
     if np.any(X.sum(axis=1) == 0.0):
@@ -557,8 +550,7 @@ def asymptotic_check(
         if k == ASYMPTOTIC_STEPS // 2:
             gaps_half = _radial_gaps(surface, X)
     gaps_end = _radial_gaps(surface, X)
-    if gaps_half is None:
-        gaps_half = gaps_end
+    gaps_half = gaps_end if gaps_half is None else gaps_half
     tol = discretization_floor(surface)
     ok = (
         not escaped.any()
@@ -671,19 +663,13 @@ def compute_attractor_cloud(
     The cloud samples the global attractor, not the carrying simplex: no
     surface is reconstructed, and where the attractor is smaller than the
     simplex (an attracting interior equilibrium, say) the points collapse
-    onto it instead of spreading over the simplex.  As in
-    :func:`asymptotic_check`, the iteration stops once a step returns its
-    input bit for bit: the map is deterministic, so the remaining steps
-    would return that same array.
+    onto it instead of spreading over the simplex.
     """
     rng = np.random.default_rng(seed)
     q = model.verified_axial_fixed_points()
     X = (0.05 + 1.45 * rng.random((n_points, model.n))) * q
     for _ in range(CLOUD_STEPS):
-        Y = model.step(X)
-        if Y.tobytes() == X.tobytes():
-            break
-        X = Y
+        X = model.step(X)
     return X
 
 

@@ -786,17 +786,25 @@ def test_blow_up_is_raised_at_the_per_stage_time():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic check and point cloud: the early stop against the fixed-length loops
+# asymptotic check: the early stop against the fixed-length loop
 # ---------------------------------------------------------------------------
 
 
 def reference_asymptotic_check(surface, model, initial_points):
-    """Every start iterated ``ASYMPTOTIC_STEPS`` times, with no early stop."""
+    """Every start iterated ``ASYMPTOTIC_STEPS`` times, with no early stop.
+
+    Also returns the first k at which step k returns its input bit for bit,
+    or ``ASYMPTOTIC_STEPS`` when no step does.
+    """
     X = np.atleast_2d(np.asarray(initial_points, dtype=float))
     box = 10.0 * surface.q
     escaped = np.zeros(X.shape[0], dtype=bool)
+    repeat = None
     for k in range(1, simplex.ASYMPTOTIC_STEPS + 1):
-        X = model.step(X)
+        Y = model.step(X)
+        if repeat is None and Y.tobytes() == X.tobytes():
+            repeat = k
+        X = Y
         escaped |= np.any(X > box, axis=1)
         if k == simplex.ASYMPTOTIC_STEPS // 2:
             gaps_half = simplex._radial_gaps(surface, X)
@@ -807,7 +815,7 @@ def reference_asymptotic_check(surface, model, initial_points):
         and bool(np.all(gaps_end < 10.0 * tol))
         and bool(np.all(gaps_end <= np.maximum(gaps_half, tol) + 1e-15))
     )
-    return simplex.AsymptoticStats(
+    stats = simplex.AsymptoticStats(
         passed=ok,
         gaps_half=gaps_half,
         gaps_end=gaps_end,
@@ -815,16 +823,7 @@ def reference_asymptotic_check(surface, model, initial_points):
         steps=simplex.ASYMPTOTIC_STEPS,
         tol=tol,
     )
-
-
-def reference_attractor_cloud(model, n_points, seed):
-    """Every seed iterated ``CLOUD_STEPS`` times, with no early stop."""
-    rng = np.random.default_rng(seed)
-    q = model.verified_axial_fixed_points()
-    X = (0.05 + 1.45 * rng.random((n_points, model.n))) * q
-    for _ in range(simplex.CLOUD_STEPS):
-        X = model.step(X)
-    return X
+    return stats, repeat or simplex.ASYMPTOTIC_STEPS
 
 
 def verify_starts(q, seed=42):
@@ -855,43 +854,24 @@ def _asymptotic_case(name, request):
 
 
 @pytest.mark.parametrize(
-    "name, calls",
-    [
-        ("periodic64", 72),  # a bit-for-bit fixed point before half time
-        ("neural2", 294),  # ... after half time
-        ("ricker_2cycle", 400),  # a 2-cycle: no step returns its input
-        ("ricker_chaotic", 400),  # no repeat at all
-        ("escaping", 142),
-    ],
+    "name", ["periodic64", "neural2", "ricker_2cycle", "ricker_chaotic", "escaping"]
 )
-def test_asymptotic_check_matches_the_fixed_length_loop(name, calls, request, monkeypatch):
+def test_asymptotic_check_matches_the_fixed_length_loop(name, request, monkeypatch):
     surface, model, starts = _asymptotic_case(name, request)
+    reference, repeat = reference_asymptotic_check(surface, model, starts)
+    half = simplex.ASYMPTOTIC_STEPS // 2
+    if name == "periodic64":
+        assert repeat < half  # the stop comes before the half-time gaps are taken
+    elif name == "neural2":
+        assert half < repeat < simplex.ASYMPTOTIC_STEPS  # ... after them
+    elif name.startswith("ricker"):
+        assert repeat == simplex.ASYMPTOTIC_STEPS  # a 2-cycle and chaos: no step repeats
     steps = recorded_inputs(monkeypatch, model, "step")
     stats = simplex.asymptotic_check(surface, model, starts)
-    assert len(steps) == calls
-    reference = reference_asymptotic_check(surface, model, starts)
+    assert len(steps) == repeat
     assert (stats.passed, stats.escaped, stats.steps, stats.tol) == (
         reference.passed, reference.escaped, reference.steps, reference.tol,
     )  # fmt: skip
     assert np.array_equal(stats.gaps_half, reference.gaps_half)
     assert np.array_equal(stats.gaps_end, reference.gaps_end)
     assert (stats.escaped > 0) == (name == "escaping")
-
-
-WEAK4 = MayOsterModel(
-    [0.4, 0.35, 0.3, 0.25], np.eye(4) + 0.05 * (np.ones((4, 4)) - np.eye(4))
-)
-PLANAR4 = LeslieGowerModel([1.1] * 4, [[1.0, 0.8, 0.6, 0.4]] * 4)
-
-
-@pytest.mark.parametrize(
-    "model, calls",
-    [(WEAK4, 170), (PLANAR4, 200)],  # the planar cloud contracts onto its plane for all 200
-    ids=["weak4", "planar4"],
-)
-def test_attractor_cloud_matches_the_fixed_length_loop(model, calls, monkeypatch):
-    model.verified_axial_fixed_points()  # cached: q costs no map call below
-    steps = recorded_inputs(monkeypatch, model, "step")
-    cloud = simplex.compute_attractor_cloud(model, n_points=500, seed=42)
-    assert len(steps) == calls
-    assert np.array_equal(cloud, reference_attractor_cloud(model, 500, 42))
