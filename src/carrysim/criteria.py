@@ -149,9 +149,12 @@ def _region_samples(
 
 def _grid_points(q: np.ndarray, resolution: int) -> np.ndarray:
     """Regular grid over (0, q]: k * q / m per axis, k = 1..m."""
-    axes = [q_i * np.arange(1, resolution + 1) / resolution for q_i in q]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return _mesh_points([q_i * np.arange(1, resolution + 1) / resolution for q_i in q])
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """Every combination of the per-axis values, one point per row."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _support_groups(pts: np.ndarray):
@@ -401,21 +404,19 @@ def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> 
     entries = np.full(pts.shape[0], -np.inf)
     for support, rows in _support_groups(pts):
         entries[rows] = jac[np.ix_(rows, support, support)].max(axis=(1, 2))
-    # the first largest entry is the worst; a NaN entry never is
+    # the first largest entry is the worst; a NaN entry never is.  Every axis
+    # segment is sampled away from 0, so some row has a support block
     k = int(np.argmax(np.where(np.isnan(entries), -np.inf, entries)))
-    worst = -np.inf
-    worst_witness = None
-    if entries[k] > worst:
-        worst = float(entries[k])
-        support = np.flatnonzero(pts[k] != 0.0)
-        sub = jac[k][np.ix_(support, support)]
-        i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        worst_witness = {
-            "x": pts[k],
-            "i": int(support[i_loc]) + 1,
-            "j": int(support[j_loc]) + 1,
-            "value": worst,
-        }
+    worst = float(entries[k])
+    support = np.flatnonzero(pts[k] != 0.0)
+    sub = jac[k][np.ix_(support, support)]
+    i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
+    worst_witness = {
+        "x": pts[k],
+        "i": int(support[i_loc]) + 1,
+        "j": int(support[j_loc]) + 1,
+        "value": worst,
+    }
     near_ties = int(np.count_nonzero((-STRICT_TIE_MARGIN < entries) & (entries < 0.0)))
     note = f"near-ties (> -{STRICT_TIE_MARGIN:g}): {near_ties}" if near_ties else ""
     verdict = "pass_sampled" if worst < 0.0 else "fail"
@@ -500,11 +501,9 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> C
 
     step = q / grid_resolution
     offsets = np.linspace(-1.0, 1.0, 9)
-    axes = [
-        np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i]) for i in range(model.n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    refined = np.stack([m.ravel() for m in mesh], axis=-1)
+    refined = _mesh_points(
+        [np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i]) for i in range(model.n)]
+    )
     rhos_ref = np.array([spectral_radius(M) for M in competition_matrix(model, refined)])
     total += int(refined.shape[0])
     k = int(np.argmax(rhos_ref))

@@ -6,7 +6,8 @@ fixed-step RK4 on the log-gain variables l_i with u(t) = u(0) * exp(l(t)),
 which keeps zero coordinates exactly zero and makes the per-capita growth
 of the time-one map well defined even on the boundary facets.  B and A are
 read from a table of the RK4 stage times, built once per ``PoincareMapModel``
-and once per ``integrate`` call.
+and once per ``integrate`` call and filled a period at a time by the one
+Fourier evaluator, ``PeriodicLVSystem.coefficients_at``.
 """
 
 from __future__ import annotations
@@ -93,36 +94,17 @@ class PeriodicLVSystem:
             [[pad(a.sin) for a in row] for row in self.A]
         ).reshape(self.n, self.n, K)
 
-    def _trig(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if self._K == 0:
-            return np.empty(0), np.empty(0)
-        k = 2.0 * np.pi * np.arange(1, self._K + 1) * t
-        return np.cos(k), np.sin(k)
-
-    def coefficients_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(B(t), A(t)) as arrays of shape (n,) and (n, n)."""
-        c, s = self._trig(t)
-        b = self._b_const + self._b_cos @ c + self._b_sin @ s
-        a = self._a_const + self._a_cos @ c + self._a_sin @ s
+    def coefficients_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(B(t), A(t)) at a time or an array of times, shapes t.shape + (n,)
+        and t.shape + (n, n).  The Fourier sums are matvecs stacked over the
+        times, so a time gets the same bits whatever else is in the call."""
+        t = np.asarray(t, dtype=float)[..., None]
+        angles = 2.0 * np.pi * np.arange(1, self._K + 1) * t
+        c, s = np.cos(angles)[..., None], np.sin(angles)[..., None]
+        b = self._b_const + (self._b_cos @ c)[..., 0] + (self._b_sin @ s)[..., 0]
+        c, s = c[..., None, :, :], s[..., None, :, :]
+        a = self._a_const + (self._a_cos @ c)[..., 0] + (self._a_sin @ s)[..., 0]
         return b, a
-
-    def coefficient_grid(self, samples: int = 1024) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t, B, A) sampled on a uniform period grid; shapes (T,), (T,n), (T,n,n)."""
-        t = np.arange(samples) / samples
-        if self._K == 0:
-            b = np.broadcast_to(self._b_const, (samples, self.n)).copy()
-            a = np.broadcast_to(self._a_const, (samples, self.n, self.n)).copy()
-            return t, b, a
-        angles = 2.0 * np.pi * np.outer(t, np.arange(1, self._K + 1))
-        c = np.cos(angles)
-        s = np.sin(angles)
-        b = self._b_const + c @ self._b_cos.T + s @ self._b_sin.T
-        a = (
-            self._a_const
-            + np.einsum("tk,ijk->tij", c, self._a_cos)
-            + np.einsum("tk,ijk->tij", s, self._a_sin)
-        )
-        return t, b, a
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +115,22 @@ class PeriodicLVSystem:
 def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
     """(t0, h, B, A^T) at the RK4 stage times t, t + h/2, t + h of every step,
     shapes (3, steps, n) and (3, steps, n, n).  The times are the loop's own
-    float sums, so entries are bit-identical to ``coefficients_at``; A^T is the
-    transposed view of C-contiguous A, the operand layout of ``u @ A(t).T``."""
+    float sums, so entries are bit-identical to scalar ``coefficients_at``
+    calls; the table is filled a period of steps at a time, which bounds the
+    evaluator's temporaries.  A^T is the transposed view of C-contiguous A,
+    the operand layout of ``u @ A(t).T``."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
     steps = max(1, int(round((t1 - t0) * config.steps_per_period)))
     h = (t1 - t0) / steps
+    t = t0 + np.arange(steps) * h
     b = np.empty((3, steps, system.n))
     a = np.empty((3, steps, system.n, system.n))
-    for k in range(steps):
-        t = t0 + k * h
-        for s, ts in enumerate((t, t + 0.5 * h, t + h)):
-            b[s, k], a[s, k] = system.coefficients_at(ts)
+    for lo in range(0, steps, config.steps_per_period):
+        rows = slice(lo, lo + config.steps_per_period)
+        for s, ts in enumerate((t[rows], t[rows] + 0.5 * h, t[rows] + h)):
+            b[s, rows], a[s, rows] = system.coefficients_at(ts)
     return t0, h, b, a.transpose(0, 1, 3, 2)
 
 
@@ -208,7 +193,8 @@ class PoincareMapModel(CompetitionModel):
     Growth factors are G(x) = exp(l(1)) with l the integrated per-capita
     rates, so T_i(x) = x_i G_i(x) holds exactly and G extends continuously
     to the facets.  The growth Jacobian falls back to finite differences.
-    One coefficient table per model, built here, serves every ``growth`` call.
+    One coefficient table per model, filled here a period at a time by
+    ``coefficients_at``, serves every ``growth`` call.
     """
 
     def __init__(self, system: PeriodicLVSystem, config: IntegrationConfig | None = None):
@@ -271,7 +257,8 @@ def check_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
     populations with the explicit per-species threshold, A4 increase of
     small populations (B_i > 0).
     """
-    t, b, a = system.coefficient_grid(A_TIME_SAMPLES)
+    t = np.arange(A_TIME_SAMPLES) / A_TIME_SAMPLES
+    b, a = system.coefficients_at(t)
     diag = np.diagonal(a, axis1=1, axis2=2)  # (T, n)
 
     def sign_check(cond_id: str, values: np.ndarray, strict: bool, note: str):

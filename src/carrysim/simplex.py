@@ -434,7 +434,6 @@ def invariance_residual(
 class UnorderedResult:
     ok: bool
     worst_margin: float
-    pair: tuple[int, int] | None
     points: tuple[np.ndarray, np.ndarray] | None
 
     def to_dict(self) -> dict:
@@ -453,7 +452,7 @@ def unordered_check(X: np.ndarray) -> UnorderedResult:
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     if N < 2:
-        return UnorderedResult(True, -np.inf, None, None)
+        return UnorderedResult(True, -np.inf, None)
     if X.shape[1] == 2:
         return _unordered_sorted_2d(X)
     return _unordered_bruteforce(X)
@@ -474,14 +473,14 @@ def _unordered_sorted_2d(X: np.ndarray) -> UnorderedResult:
     worst = float(margins[worst_idx])
     a, b = int(order[worst_idx]), int(order[worst_idx + 1])
     ok = worst < 0.0
-    return UnorderedResult(ok, worst, (a, b), (X[a], X[b]))
+    return UnorderedResult(ok, worst, (X[a], X[b]))
 
 
 def _unordered_bruteforce(X: np.ndarray) -> UnorderedResult:
     N = X.shape[0]
     chunk = max(1, int(2_000_000 // max(1, N)))
     worst = -np.inf
-    pair = None
+    points = None
     for start in range(0, N, chunk):
         blk = X[start : start + chunk]
         margins = (blk[:, None, :] - X[None, :, :]).min(axis=2)
@@ -491,10 +490,9 @@ def _unordered_bruteforce(X: np.ndarray) -> UnorderedResult:
         i_loc, j = np.unravel_index(k, margins.shape)
         if margins[i_loc, j] > worst:
             worst = float(margins[i_loc, j])
-            pair = (int(start + i_loc), int(j))
+            points = (blk[i_loc], X[j])
     ok = worst < 0.0
-    points = None if pair is None else (X[pair[0]], X[pair[1]])
-    return UnorderedResult(ok, worst, pair, points)
+    return UnorderedResult(ok, worst, points)
 
 
 @dataclass

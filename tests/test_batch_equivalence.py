@@ -756,16 +756,29 @@ def test_period_map_growth_matches_on_a_random_order_3_fourier_system():
     assert np.array_equal(PoincareMapModel(system, config).growth(x), reference)
 
 
+def test_period_map_growth_matches_on_a_constant_coefficient_system():
+    system = random_fourier_system(np.random.default_rng(5), 3, 0)
+    assert system._K == 0
+    config = IntegrationConfig(100)
+    x = np.random.default_rng(6).random((100, 3))
+    x[:10, 2] = 0.0
+    reference = np.exp(reference_log_gain(system, x, (0.0, 1.0), config))
+    assert np.array_equal(PoincareMapModel(system, config).growth(x), reference)
+
+
 def test_integrate_matches_per_stage_rk4_off_the_period_grid():
     loaded = load_model_file(MODELS / "periodic_lv2.json")
-    config = IntegrationConfig(100)
-    for x0 in (np.array([0.2, 0.3]), np.array([0.0, 0.4])):
-        traj = integrate(loaded.system, x0, (0.3, 2.1), config)
-        _, times, path = reference_log_gain(loaded.system, x0, (0.3, 2.1), config, record=True)
-        states = x0 * np.exp(path)
-        states[:, x0 == 0.0] = 0.0
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
+    # both spans end in a partial period (80 of 100 and 45 of 64 steps), so
+    # the table's last block is shorter than the others
+    for span, steps in (((0.3, 2.1), 100), ((0.3, 20.0), 64)):
+        config = IntegrationConfig(steps)
+        for x0 in (np.array([0.2, 0.3]), np.array([0.0, 0.4])):
+            traj = integrate(loaded.system, x0, span, config)
+            _, times, path = reference_log_gain(loaded.system, x0, span, config, record=True)
+            states = x0 * np.exp(path)
+            states[:, x0 == 0.0] = 0.0
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
 
 
 def test_blow_up_is_raised_at_the_per_stage_time():

@@ -37,15 +37,17 @@ class TestFourier:
             b, a = vlper2.coefficients_at(t)
             b1, a1 = vlper2.coefficients_at(t + 1.0)
             assert np.all(np.abs(b - b1) < 1e-12) and np.all(np.abs(a - a1) < 1e-12)
-        _, b0, a0 = vlper2.coefficient_grid(1024)
+        b0, a0 = vlper2.coefficients_at(np.arange(1024) / 1024)
         assert np.all(b0 > 0) and np.all(a0 > 0)
 
     def test_grid_matches_pointwise(self, vlper2):
-        t, b, a = vlper2.coefficient_grid(64)
-        for k in (0, 17, 40):
+        t = np.arange(64).reshape(8, 8) / 64
+        b, a = vlper2.coefficients_at(t)
+        assert b.shape == (8, 8, 2) and a.shape == (8, 8, 2, 2)
+        for k in np.ndindex(t.shape):
             bk, ak = vlper2.coefficients_at(float(t[k]))
-            assert np.allclose(b[k], bk, atol=1e-14)
-            assert np.allclose(a[k], ak, atol=1e-14)
+            assert np.array_equal(b[k], bk)
+            assert np.array_equal(a[k], ak)
 
 
 class TestIntegration:
@@ -120,19 +122,21 @@ class TestPoincareMap:
         assert conditions["Model"].verdict == "inconclusive"
 
     def test_coefficient_table_is_built_once_per_model(self, vlper2, monkeypatch):
-        calls = []
+        times = []
         evaluate = PeriodicLVSystem.coefficients_at
         monkeypatch.setattr(
             PeriodicLVSystem,
             "coefficients_at",
-            lambda self, t: calls.append(t) or evaluate(self, t),
+            lambda self, t: times.extend(np.ravel(t)) or evaluate(self, t),
         )
         pm = PoincareMapModel(vlper2, IntegrationConfig(64))
         pm.growth(np.array([0.2, 0.3]))
         pm.growth(np.full((5, 2), 0.1))
         pm.verified_axial_fixed_points()
         # one table: the stage times t, t + h/2 and t + h of each of 64 steps
-        assert len(calls) == 3 * 64
+        t = np.arange(64) / 64
+        stages = np.concatenate([t, t + 0.5 / 64, t + 1 / 64])
+        assert np.array_equal(np.sort(times), np.sort(stages))
 
     def test_integration_memory_per_step_stays_small(self, vlper2):
         # the coefficient table takes 144 bytes a step for n = 2; the bound is
@@ -189,7 +193,7 @@ class TestAConditions:
         thresholds = np.array(a3.witness["thresholds"])
         assert thresholds.shape == (2,)
         # beyond the threshold the per-capita growth is negative at all times
-        _, b, a = vlper2.coefficient_grid(256)
+        b, a = vlper2.coefficients_at(np.arange(256) / 256)
         for i in range(2):
             x = np.zeros(2)
             x[i] = thresholds[i] * 1.01

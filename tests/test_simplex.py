@@ -249,7 +249,7 @@ class TestAsymptotic:
         )  # fmt: skip
         verified = SurfaceVerification(
             invariance=0.0,
-            unordered=UnorderedResult(True, -0.1, None, None),
+            unordered=UnorderedResult(True, -0.1, None),
             asymptotic=asymptotic,
             axial_errors=np.array([0.0, 9e-6]),
             seed=1,
