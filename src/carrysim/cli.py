@@ -43,6 +43,7 @@ from .simplex import (
     unordered_check,
     verify_surface,
     write_cloud_csv,
+    write_csv,
     write_surface_csv,
     write_sweep_csv,
 )
@@ -93,10 +94,6 @@ def _ode_steps(text: str) -> IntegrationConfig:
         return IntegrationConfig(steps_per_period=_int_at_least(1)(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _write_json(payload: dict, path) -> None:
@@ -160,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--b-max", type=_positive_float, required=True)
     p_sweep.add_argument("--b-count", type=_int_at_least(1), default=100)
     p_sweep.add_argument("--steps", type=_int_at_least(1), default=1_000)
-    p_sweep.add_argument("--burn-in", type=_int_at_least(0), default=None)
     p_sweep.add_argument("--record", type=_int_at_least(1), default=128)
     p_sweep.set_defaults(func=cmd_sweep1d)
 
@@ -224,11 +220,8 @@ def cmd_check(args) -> int:
     if args.format == "json":
         _write_json(payload, out)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write("id,verdict,worst\n")
-            for c in conditions:
-                worst = "" if c.worst is None else _fmt(c.worst)
-                fh.write(f"{c.id},{c.verdict},{worst}\n")
+        rows = ([c.id, c.verdict, "" if c.worst is None else c.worst] for c in conditions)
+        write_csv(out, ["id", "verdict", "worst"], rows)
 
     for c in conditions:
         extra = "" if c.worst is None else f"  (worst {c.worst:.6g})"
@@ -321,34 +314,31 @@ def cmd_simulate(args) -> int:
 
     if loaded.system is not None:
         traj = integrate(loaded.system, x0, (0.0, float(args.steps)), args.integration)
-        with open(out, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"u_{i + 1}" for i in range(n)) + "\n")
-            for t, row in zip(traj.times, traj.states):
-                fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+        header = ["t"] + [f"u_{i + 1}" for i in range(n)]
+        write_csv(out, header, np.column_stack([traj.times, traj.states]))
     else:
-        model = loaded.model
-        with open(out, "w", newline="") as fh:
-            fh.write("k," + ",".join(f"x_{i + 1}" for i in range(n)) + "\n")
-            x = x0
-            fh.write(",".join(["0"] + [_fmt(v) for v in x]) + "\n")
-            for k in range(1, args.steps + 1):
-                x = model.step(x)
-                fh.write(",".join([str(k)] + [_fmt(v) for v in x]) + "\n")
+        header = ["k"] + [f"x_{i + 1}" for i in range(n)]
+        write_csv(out, header, _orbit(loaded.model, x0, args.steps))
     print(f"trajectory written to {out}")
     return EXIT_OK
+
+
+def _orbit(model, x: np.ndarray, steps: int):
+    """Rows k, x_k for k = 0..steps, each state computed as its row is read."""
+    yield ["0", *x]
+    for k in range(1, steps + 1):
+        x = model.step(x)
+        yield [str(k), *x]
 
 
 def cmd_sweep1d(args) -> int:
     if args.b_max < args.b_min:
         raise UsageError("--b-max must be >= --b-min")
-    if args.burn_in is not None and args.burn_in >= args.steps:
-        raise UsageError("--burn-in must be < --steps")
     results = sweep_1d(
         args.a,
         args.b_min,
         args.b_max,
         steps=args.steps,
-        burn_in=args.burn_in,
         record=args.record,
         b_count=args.b_count,
     )

@@ -134,7 +134,7 @@ def _region_samples(
     (and optionally 0)."""
     upper = _sampling_box(model)
     n = upper.size
-    n_axis = max(1, samples // (5 * n)) if n > 1 else max(1, samples // 5)
+    n_axis = max(1, samples // (5 * n))
     n_box = max(0, samples - n * n_axis - (1 if include_origin else 0))
     parts = [rng.random((n_box, n)) * upper]
     for i in range(n):

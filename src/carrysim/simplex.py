@@ -8,13 +8,16 @@ barycentric interpolation.  Global attraction of the target surface makes
 the node radii settle; the defining properties (invariance, unordered,
 asymptotic attraction) are then verified a posteriori rather than assumed.
 
-Surface mode supports n in {1, 2, 3}; higher dimensions fall back to a
-point cloud without surface reconstruction.
+Surface mode supports n in {1, 2, 3}, and ``SimplexGrid.build`` is the one
+place that knows which: the rebuild, the interpolation and the
+discretization floor run the same code for every n over what it builds.
+Higher dimensions fall back to a point cloud without surface reconstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,78 +39,59 @@ class SurfaceDegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Barycentric nodes at integer multiples of 1/m on the unit simplex."""
+    """Barycentric nodes at integer multiples of 1/m on the unit simplex.
+
+    :meth:`build` is the one place that knows the dimension.  Everything
+    else reads what it builds: the lattice, the boundary ``chains`` that the
+    rebuild and the discretization floor run along, and the ``triangles`` of
+    the interior.
+    """
 
     n: int
     m: int
     nodes: np.ndarray  # (N, n) directions
     lattice: np.ndarray  # (N, n) integer coordinates summing to m
+    # node ids along each boundary edge, with the direction coordinate that
+    # increases along it: the one vertex for n = 1, the whole grid for
+    # n = 2, the three edges for n = 3
+    chains: list[tuple[np.ndarray, int]]
+    # node-index triples of the standard triangulation, (0, 3) for n < 3
+    triangles: np.ndarray
 
     @classmethod
     def build(cls, n: int, m: int) -> "SimplexGrid":
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        if n not in (1, 2, 3):
+            raise ValueError("simplicial grids are built only for n in {1, 2, 3}")
+        if m < min(n, 2):
+            raise ValueError(f"grid resolution m must be >= {min(n, 2)} for n = {n}")
+        k = np.arange(m + 1)
+        triangles = np.empty((0, 3), dtype=int)
         if n == 1:
-            lattice = np.array([[m]], dtype=int)
+            lattice = np.array([[m]])
+            chains = [(np.array([0]), 0)]
         elif n == 2:
-            k = np.arange(m + 1)
             lattice = np.stack([k, m - k], axis=1)
-        elif n == 3:
+            chains = [(k, 0)]
+        else:
             i, c = np.triu_indices(m + 1)  # rows (i, j) by i, then j = c - i
             lattice = np.stack([i, c - i, m - c], axis=1)
-        else:
-            raise ValueError("simplicial grids are built only for n <= 3")
-        nodes = lattice / float(m) if m > 0 else lattice.astype(float)
-        if n == 1:
-            nodes = np.array([[1.0]])
-        return cls(n=n, m=m, nodes=nodes, lattice=lattice)
+            ix = partial(_lattice_index, m)
+            chains = [(ix(k, 0), 0), (ix(0, k), 1), (ix(k, m - k), 0)]
+            # per lattice cell (i, j), by i and then j: the upward triangle,
+            # then the downward one where it exists, both positively oriented
+            i, j = lattice[lattice[:, 2] > 0, :2].T
+            up = np.stack([ix(i, j), ix(i + 1, j), ix(i, j + 1)], axis=1)
+            down = np.stack([ix(i + 1, j), ix(i + 1, j + 1), ix(i, j + 1)], axis=1)
+            has_down = np.stack([np.ones_like(i, dtype=bool), i + j <= m - 2], axis=1)
+            triangles = np.stack([up, down], axis=1)[has_down]
+        return cls(n, m, lattice / m, lattice, chains, triangles)
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
-    def node_index(self, lattice_point) -> int:
-        """Row of ``lattice`` that holds the given integer point."""
-        lat = tuple(int(v) for v in lattice_point)
-        if len(lat) != self.n or sum(lat) != self.m or min(lat) < 0:
-            raise KeyError(lat)
-        if self.n == 3:
-            return int(self._lattice_index(lat[0], lat[1]))
-        return lat[0] if self.n == 2 else 0
-
-    def _lattice_index(self, i, j):
-        """Row of the n = 3 lattice point (i, j, m - i - j); takes arrays too."""
-        return i * (self.m + 1) - i * (i - 1) // 2 + j
-
     def axis_node_indices(self) -> list[int]:
         """Node index of each unit direction e_i."""
-        return [self.node_index(self.m * e) for e in np.eye(self.n, dtype=int)]
-
-    def edge_chains(self) -> list[tuple[np.ndarray, int]]:
-        """Node ids along the three boundary edges of an n = 3 grid, each with
-        the direction coordinate that increases along it."""
-        k = np.arange(self.m + 1)
-        ix = self._lattice_index
-        return [(ix(k, 0), 0), (ix(0, k), 1), (ix(k, self.m - k), 0)]
-
-    def triangles(self) -> np.ndarray:
-        """Node-index triples of the standard triangulation (n = 3 only).
-
-        Per lattice cell (i, j), by i and then j: the upward triangle, then
-        the downward one where it exists, both positively oriented.
-        """
-        if self.n != 3:
-            raise ValueError("triangles are defined for n = 3 grids")
-        cache = getattr(self, "_tri_cache", None)
-        if cache is not None:
-            return cache
-        i, j = self.lattice[self.lattice[:, 2] > 0, :2].T
-        ix = self._lattice_index
-        up = np.stack([ix(i, j), ix(i + 1, j), ix(i, j + 1)], axis=1)
-        down = np.stack([ix(i + 1, j), ix(i + 1, j + 1), ix(i, j + 1)], axis=1)
-        has_down = np.stack([np.ones_like(i, dtype=bool), i + j <= self.m - 2], axis=1)
-        cache = np.stack([up, down], axis=1)[has_down]
-        object.__setattr__(self, "_tri_cache", cache)
-        return cache
+        return np.argmax(self.lattice == self.m, axis=0).tolist()
 
     def interpolate(self, values: np.ndarray, directions) -> np.ndarray:
         """Piecewise-linear interpolation of node values at given directions."""
@@ -116,9 +100,7 @@ class SimplexGrid:
         d = np.atleast_2d(d)
         if d.shape[1] != self.n:
             raise ValueError(f"directions must have {self.n} coordinates")
-        if self.n == 1:
-            out = np.full(d.shape[0], float(values[0]))
-        elif self.n == 2:
+        if self.n < 3:  # one node for n = 1: np.interp returns its value
             out = np.interp(d[:, 0], self.nodes[:, 0], values)
         else:
             out = self._interp3(np.asarray(values), d)
@@ -145,10 +127,16 @@ class SimplexGrid:
             np.stack([w0, fu, fv]) / ((w0 + fu) + fv),  # the sum is >= 1 up to rounding
             np.stack([1.0 - fv, 1.0 - fu, fu + fv - 1.0]),
         )
-        ix = self._lattice_index
+        ix = partial(_lattice_index, m)
         a, b, c = ix(i0, j0), ix(i0 + 1, j0), ix(i0, j0 + 1)
         v0, v1, v2 = values[np.where(lower, [a, b, c], [b, c, ix(i0 + 1, j0 + 1)])]
         return (w[0] * v0 + w[1] * v1) + w[2] * v2
+
+
+def _lattice_index(m: int, i, j):
+    """Row of the lattice point (i, j, m - i - j) in an n = 3 grid of
+    resolution m; takes arrays too."""
+    return i * (m + 1) - i * (i - 1) // 2 + j
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +200,8 @@ def compute_carrying_simplex(
     """Iterate a dominating radial graph under the map until it settles.
 
     Per sweep: push every node point through the map, reproject radially,
-    and rebuild the radii on the fixed grid (vertices directly, boundary
-    facets as lower-dimensional interpolations, the interior by barycentric
+    and rebuild the radii on the fixed grid (each boundary chain by
+    one-dimensional interpolation, the interior by barycentric
     interpolation in the image triangulation).  Stops when the largest node
     movement drops below ``tol``.  A non-converged surface is returned with
     ``converged=False`` rather than raised.
@@ -221,12 +209,8 @@ def compute_carrying_simplex(
     n = model.n
     if n not in _DEFAULT_M:
         raise ValueError("surface mode supports n <= 3; use compute_attractor_cloud")
-    if m is None:
-        m = _DEFAULT_M[n]
-    if n > 1 and m < 2:
-        raise ValueError("grid resolution m must be >= 2")
+    grid = SimplexGrid.build(n, _DEFAULT_M[n] if m is None else m)
     q = model.verified_axial_fixed_points()
-    grid = SimplexGrid.build(n, m)
 
     # Start above the attractor along every ray: 1.5x the radius at which
     # each ray exits the box [0, q].  (The exit radius is the min over the
@@ -274,13 +258,7 @@ def _sweep(model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray) -> np.
         raise SurfaceDegeneracyError(
             f"node {bad} mapped to the origin; surface cannot cross 0"
         )
-    dirs = images / rho[:, None]
-
-    if grid.n == 1:
-        return rho.copy()
-    if grid.n == 2:
-        return _rebuild_1d(grid.nodes[:, 0], dirs[:, 0], rho, grid.m)
-    return _rebuild_2d(grid, dirs, rho)
+    return _rebuild(grid, images / rho[:, None], rho)
 
 
 def _rebuild_1d(
@@ -301,33 +279,35 @@ _BOX_EPS = 1e-9
 _PAIR_CHUNK = 1 << 14  # (node, triangle) pairs per block of the full search
 
 
-def _rebuild_2d(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Rebuild the n = 3 radii on the fixed grid from the pushed-forward nodes.
+def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Rebuild the radii on the fixed grid from the pushed-forward nodes.
 
-    Boundary edges are one-dimensional subproblems on their own nodes.  An
-    interior node interpolates ``rho`` in the image triangle whose smallest
-    barycentric weight at the node is largest, the lowest index winning a
-    tie.  The search is by cells: each image triangle is listed in the 1/m
-    cells its grown bounding box meets, and a node is tested against the
-    list of its own cell.  Every triangle that holds the node is on that
-    list, so when one of them has all weights >= 0 the pick is the one a
-    search over all triangles makes.  A node with no such candidate (one on
-    an edge shared by two images, which rounding puts just outside both, as
-    under the identity direction map of a planar model) is searched against
-    all triangles, in blocks of nodes.
+    Each boundary chain is a one-dimensional subproblem on its own nodes.
+    A node on no chain (an interior node of an n = 3 grid) interpolates
+    ``rho`` in the image triangle whose smallest barycentric weight at the
+    node is largest, the lowest index winning a tie.  The search is by
+    cells: each image triangle is listed in the 1/m cells its grown bounding
+    box meets, and a node is tested against the list of its own cell.  Every
+    triangle that holds the node is on that list, so when one of them has
+    all weights >= 0 the pick is the one a search over all triangles makes.
+    A node with no such candidate (one on an edge shared by two images,
+    which rounding puts just outside both, as under the identity direction
+    map of a planar model) is searched against all triangles, in blocks of
+    nodes.
     """
     m = grid.m
     new_radii = np.empty(len(grid))
-    for node_ids, axis in grid.edge_chains():
+    on_chain = np.zeros(len(grid), dtype=bool)
+    for node_ids, axis in grid.chains:
         new_radii[node_ids] = _rebuild_1d(
             grid.nodes[node_ids, axis], dirs[node_ids, axis], rho[node_ids], m
         )
+        on_chain[node_ids] = True
 
-    # interior nodes: barycentric containment in the image triangulation
-    interior = np.flatnonzero((grid.lattice > 0).all(axis=1))
+    interior = np.flatnonzero(~on_chain)
     if interior.size == 0:
         return new_radii
-    tris = grid.triangles()
+    tris = grid.triangles
     a, b, c = dirs[tris, :2].transpose(1, 0, 2)
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
@@ -607,17 +587,12 @@ def discretization_floor(surface: RadialSurface) -> float:
     """Radial accuracy limit of the piecewise-linear grid representation.
 
     Chord-vs-curve deviation of a PL graph is bounded by the largest second
-    difference of the node radii over 8; gaps below this level are not
-    resolvable at the grid's resolution.
+    difference of the node radii over 8, taken along the grid's boundary
+    chains; gaps below this level are not resolvable at the grid's
+    resolution.
     """
-    if surface.n == 1 or len(surface.grid) < 3:
-        return surface.tol
-    if surface.n == 2:
-        chains = [np.arange(len(surface.grid))]
-    else:
-        chains = [chain for chain, _ in surface.grid.edge_chains()]
     worst = 0.0
-    for chain in chains:
+    for chain, _ in surface.grid.chains:
         r = surface.radii[chain]
         if r.size >= 3:
             worst = max(worst, float(np.max(np.abs(np.diff(r, n=2)))))
@@ -692,7 +667,6 @@ def sweep_1d(
     b_min: float,
     b_max: float,
     steps: int = 1_000,
-    burn_in: int | None = None,
     record: int = 128,
     b_count: int = 100,
 ) -> list[SweepPoint]:
@@ -709,9 +683,7 @@ def sweep_1d(
         raise ValueError("a must be > 0")
     if not (0.0 < b_min <= b_max):
         raise ValueError("need 0 < b_min <= b_max")
-    if burn_in is None:
-        burn_in = max(0, steps - record)
-    keep = min(record, steps - burn_in) if steps > burn_in else 0
+    keep = min(record, steps)
 
     bs = np.linspace(b_min, b_max, b_count) if b_count > 1 else np.array([b_min])
     x = 0.1 * bs / a
@@ -754,35 +726,28 @@ def _detect_period(orbit: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_surface_csv(surface: RadialSurface, path) -> None:
-    n = surface.n
-    header = (
-        [f"d_{i + 1}" for i in range(n)] + ["r"] + [f"x_{i + 1}" for i in range(n)]
-    )
-    pts = surface.points()
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then each row of ``rows``: strings as they are,
+    numbers in ``.17g``, which reads back to the same float."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(surface.grid)):
-            row = (
-                list(surface.grid.nodes[k])
-                + [surface.radii[k]]
-                + list(pts[k])
-            )
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n")
+
+
+def write_surface_csv(surface: RadialSurface, path) -> None:
+    n = surface.n
+    header = [f"d_{i + 1}" for i in range(n)] + ["r"] + [f"x_{i + 1}" for i in range(n)]
+    write_csv(path, header, np.column_stack([surface.grid.nodes, surface.radii, surface.points()]))
 
 
 def write_cloud_csv(points: np.ndarray, path) -> None:
-    n = points.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"x_{i + 1}" for i in range(n)) + "\n")
-        for row in points:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, [f"x_{i + 1}" for i in range(points.shape[1])], points)
 
 
 def write_sweep_csv(results: list[SweepPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("b,class,attractor_points\n")
-        for res in results:
-            cells = [format(res.b, ".17g"), res.classification]
-            cells += [format(v, ".17g") for v in np.atleast_1d(res.points)]
-            fh.write(",".join(cells) + "\n")
+    write_csv(
+        path,
+        ["b", "class", "attractor_points"],
+        ([res.b, res.classification, *np.atleast_1d(res.points)] for res in results),
+    )

@@ -582,25 +582,23 @@ def _rebuild_outcome(fn, grid, dirs, rho):
 
 def _surface_with(rebuild, model, m, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_rebuild_2d", rebuild)
+        patch.setattr(simplex, "_rebuild", rebuild)
         return compute_carrying_simplex(model, m=m)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 13, 24])
+@pytest.mark.parametrize("m", [2, 3, 8, 13, 24])
 def test_lattice_index_and_triangles_match_reference(m):
     grid = SimplexGrid.build(3, m)
     idx = reference_lattice_index(grid)
-    assert [grid.node_index(key) for key in idx] == list(idx.values())
-    assert np.array_equal(grid.triangles(), reference_triangles(grid))
+    assert [simplex._lattice_index(m, i, j) for i, j, _ in idx] == list(idx.values())
+    assert np.array_equal(grid.triangles, reference_triangles(grid))
     for (node_ids, axis), nodes in zip(
-        grid.edge_chains(), ([(i, 0, m - i) for i in range(m + 1)],
-                             [(0, j, m - j) for j in range(m + 1)],
-                             [(i, m - i, 0) for i in range(m + 1)])  # fmt: skip
+        grid.chains, ([(i, 0, m - i) for i in range(m + 1)],
+                      [(0, j, m - j) for j in range(m + 1)],
+                      [(i, m - i, 0) for i in range(m + 1)])  # fmt: skip
     ):
         assert node_ids.tolist() == [idx[key] for key in nodes]
         assert np.all(np.diff(grid.nodes[node_ids, axis]) > 0)
-    with pytest.raises(KeyError):
-        grid.node_index((m, 1, 0))
 
 
 @pytest.mark.parametrize(
@@ -637,7 +635,7 @@ def test_rebuild_matches_the_triangle_loop_on_perturbed_maps(m, scale):
         dirs[grid.lattice == 0] = 0.0  # facets stay invariant
         dirs = np.abs(dirs) / np.abs(dirs).sum(axis=1, keepdims=True)
         rho = 1.0 + 0.1 * rng.random(len(grid))
-        fast = _rebuild_outcome(simplex._rebuild_2d, grid, dirs, rho)
+        fast = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
         reference = _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
         if isinstance(reference, str):
             assert fast == reference
@@ -649,12 +647,13 @@ def test_rebuild_errors_match_the_triangle_loop():
     grid = SimplexGrid.build(3, 8)
     rho = np.ones(len(grid))
     folded = grid.nodes.copy()
-    a, b = grid.node_index((3, 2, 3)), grid.node_index((2, 3, 3))
+    idx = reference_lattice_index(grid)
+    a, b = idx[(3, 2, 3)], idx[(2, 3, 3)]
     folded[[a, b]] = folded[[b, a]]
     centre = np.full(3, 1.0 / 3.0)
     shrunk = centre + 0.5 * (grid.nodes - centre)  # the image misses the border
     for dirs, message in ((folded, "not injective"), (shrunk, "does not cover")):
-        fast = _rebuild_outcome(simplex._rebuild_2d, grid, dirs, rho)
+        fast = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
         assert fast == _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
         assert message in fast
 
@@ -666,7 +665,7 @@ def test_interpolation_matches_the_row_loop(m):
     values = rng.random(len(grid))
     s = np.linspace(0.0, 1.0, 4 * m + 1)
     far_edge = np.stack([s, 1.0 - s, np.zeros_like(s)], axis=1)
-    tris = grid.triangles()
+    tris = grid.triangles
     midpoints = [0.5 * (grid.nodes[tris[:, k]] + grid.nodes[tris[:, k - 1]]) for k in range(3)]
     # random points on one edge of every triangle, among them every cell diagonal
     s = rng.random((tris.shape[0], 1))

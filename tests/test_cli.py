@@ -21,6 +21,9 @@ OVERSHOOT = {
 # four species whose carrying simplex is the plane a.x = 0.1: the n >= 4 point cloud
 PLANAR4_ROW = [1.0, 0.8, 0.6, 0.4]
 PLANAR4 = {"type": "leslie_gower", "n": 4, "C": [1.1] * 4, "A": [PLANAR4_ROW] * 4}
+MAY1 = {"type": "may_oster", "n": 1, "B": [0.5], "A": [[1.0]]}
+# model files that the byte-identity test writes from these descriptions
+INLINE_MODELS = {"MAY1": MAY1, "OVERSHOOT": OVERSHOOT, "PLANAR4": PLANAR4}
 
 
 def model(name: str) -> str:
@@ -60,7 +63,7 @@ def test_check_exit_codes_on_bundled_models(name, extra, code, tmp_path, capsys)
         ["simulate", "--model", model("may2"), "--x0", "1"],
         ["sweep1d", "--b-min", "0", "--b-max", "1"],
         ["sweep1d", "--b-min", "2", "--b-max", "1"],
-        ["sweep1d", "--b-min", "1", "--b-max", "2", "--steps", "10", "--burn-in", "10"],
+        ["sweep1d", "--b-min", "1", "--b-max", "2", "--record", "0"],
         ["wangjiang", "--model", model("periodic_lv2"), "--t-span", "0"],
         ["frobnicate"],
         # each subcommand takes only the flags it reads
@@ -122,14 +125,17 @@ def test_check_output_is_byte_identical_for_a_fixed_seed(name, extra, tmp_path):
          ["out"]),  # fmt: skip
         (["simplex", "--model", "PLANAR4", "--grid", "4", "--samples", "500"],
          ["out", "out.meta.json"]),  # fmt: skip
+        (["simplex", "--model", "MAY1"], ["out", "out.meta.json"]),
+        (["simplex", "--model", "OVERSHOOT", "--force", "--grid", "8"], ["out", "out.meta.json"]),
     ],
-    ids=["simplex", "simulate", "sweep1d", "wangjiang", "point_cloud"],
+    ids=["simplex", "simulate", "sweep1d", "wangjiang", "point_cloud", "simplex_n1", "simplex_n3"],
 )
 def test_outputs_are_byte_identical_for_a_fixed_seed(argv, outputs, tmp_path, capsys):
-    if "PLANAR4" in argv:
-        path = tmp_path / "planar4.json"
-        path.write_text(json.dumps(PLANAR4))
-        argv = [str(path) if a == "PLANAR4" else a for a in argv]
+    for name, description in INLINE_MODELS.items():
+        if name in argv:
+            path = tmp_path / f"{name.lower()}.json"
+            path.write_text(json.dumps(description))
+            argv = [str(path) if a == name else a for a in argv]
     written = []
     for run in ("first", "second"):
         (tmp_path / run).mkdir()

@@ -34,8 +34,29 @@ class TestSimplexGrid:
         g = SimplexGrid.build(3, 6)
         assert len(g) == 7 * 8 // 2
         assert np.all(g.lattice.sum(axis=1) == 6)
-        tris = g.triangles()
-        assert tris.shape == (36, 3)  # m^2 triangles
+        assert g.triangles.shape == (36, 3)  # m^2 triangles
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (2, 2), (2, 4), (3, 2), (3, 6)])
+    def test_chains_triangles_and_axes_for_every_dimension(self, n, m):
+        g = SimplexGrid.build(n, m)
+        k = range(m + 1)
+        expected = {
+            1: [([[m]], 0)],
+            2: [([[i, m - i] for i in k], 0)],
+            3: [([[i, 0, m - i] for i in k], 0), ([[0, j, m - j] for j in k], 1),
+                ([[i, m - i, 0] for i in k], 0)],
+        }[n]  # fmt: skip
+        assert [(g.lattice[ids].tolist(), axis) for ids, axis in g.chains] == expected
+        for ids, axis in g.chains:
+            assert np.all(np.diff(g.nodes[ids, axis]) > 0)
+        assert g.triangles.shape == ((m * m, 3) if n == 3 else (0, 3))
+        assert np.array_equal(g.lattice[g.axis_node_indices()], m * np.eye(n, dtype=int))
+        assert np.array_equal(g.nodes, g.lattice / m)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 4)])
+    def test_build_refuses_what_no_surface_can_use(self, n, m):
+        with pytest.raises(ValueError):
+            SimplexGrid.build(n, m)
 
     def test_interpolation_exact_on_linear(self):
         rng = np.random.default_rng(0)
@@ -68,7 +89,7 @@ class TestComputeSurface:
     def test_uncoupled_product_fixed_point(self):
         model = MayOsterModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
         s = compute_carrying_simplex(model, m=64, tol=1e-12)
-        mid = s.grid.node_index((32, 32))
+        (mid,) = np.flatnonzero((s.grid.lattice == 32).all(axis=1))
         # the symmetric ray passes through the product fixed point (0.5, 0.5)
         assert s.radii[mid] == pytest.approx(1.0, abs=1e-10)
 
@@ -128,6 +149,10 @@ class TestComputeSurface:
         s2 = compute_carrying_simplex(may2, m=512, tol=1e-10)
         change = np.max(np.abs(s2.radius_at(s1.grid.nodes) - s1.radii))
         assert change < 10 * discretization_floor(s1)
+
+    def test_scalar_surface_refuses_an_empty_grid(self, may1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            compute_carrying_simplex(may1, m=0)
 
     def test_rejects_high_dimension(self):
         model = MayOsterModel([0.3] * 4, np.eye(4) + 0.01)
