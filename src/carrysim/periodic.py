@@ -7,7 +7,9 @@ which keeps zero coordinates exactly zero and makes the per-capita growth
 of the time-one map well defined even on the boundary facets.  B and A are
 read from a table of the RK4 stage times, built once per ``PoincareMapModel``
 and once per ``integrate`` call and filled a period at a time by the one
-Fourier evaluator, ``PeriodicLVSystem.coefficients_at``.
+Fourier evaluator, ``PeriodicLVSystem.coefficients_at``.  A batch of N
+states is integrated species-major, as (n, N) arrays, so that each RK4 stage
+is one product A(t) @ u of the tabulated matrix with all N states.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class FourierSeries:
         return max(len(self.cos), len(self.sin))
 
 
+MAX_STEPS_PER_PERIOD = 65_536  # bounds a period's stage table at 3 * 65,536 * (n + 1) n floats
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Classical RK4 with a fixed number of steps per unit time (one period)."""
@@ -53,8 +58,11 @@ class IntegrationConfig:
     steps_per_period: int = 256
 
     def __post_init__(self):
-        if self.steps_per_period < 64:
-            raise ValueError("steps_per_period must be >= 64")
+        if not 64 <= self.steps_per_period <= MAX_STEPS_PER_PERIOD:
+            raise ValueError(
+                f"steps_per_period must be >= 64 and <= {MAX_STEPS_PER_PERIOD}, "
+                f"got {self.steps_per_period}"
+            )
 
 
 class PeriodicLVSystem:
@@ -113,12 +121,12 @@ class PeriodicLVSystem:
 
 
 def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
-    """(t0, h, B, A^T) at the RK4 stage times t, t + h/2, t + h of every step,
-    shapes (3, steps, n) and (3, steps, n, n).  The times are the loop's own
-    float sums, so entries are bit-identical to scalar ``coefficients_at``
+    """(t0, h, B, A) at the RK4 stage times t, t + h/2, t + h of every step,
+    shapes (3, steps, n, 1) and (3, steps, n, n).  The times are the loop's
+    own float sums, so entries are bit-identical to scalar ``coefficients_at``
     calls; the table is filled a period of steps at a time, which bounds the
-    evaluator's temporaries.  A^T is the transposed view of C-contiguous A,
-    the operand layout of ``u @ A(t).T``."""
+    evaluator's temporaries.  B(t) is stored as a column and A(t) C-contiguous,
+    the operands of the species-major stage ``B(t) - A(t) @ u``."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
@@ -131,23 +139,28 @@ def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
         rows = slice(lo, lo + config.steps_per_period)
         for s, ts in enumerate((t[rows], t[rows] + 0.5 * h, t[rows] + h)):
             b[s, rows], a[s, rows] = system.coefficients_at(ts)
-    return t0, h, b, a.transpose(0, 1, 3, 2)
+    return t0, h, b[..., None], a
 
 
 # an overflow shows up as a non-finite l, which is raised as IntegrationError
 @np.errstate(over="ignore", invalid="ignore")
 def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False):
     """RK4 on dl/dt = B(t) - A(t) (x0 * exp(l)) over a ``_stage_table``; returns
-    l(t1), or with ``record`` the step-boundary times and l at each of them."""
-    t0, h, b, a_t = table
+    l(t1), or with ``record`` the step-boundary times and l at each of them.
+
+    ``x0`` is one state (n,) or a batch (N, n); the loop carries x0 and l
+    species-major, as (n, N) arrays, so that every stage is one (n, n) @ (n, N)
+    product, and l comes back in the shape of ``x0``."""
+    t0, h, b, a = table
     half, sixth = 0.5 * h, h / 6.0
-    ell = np.zeros_like(x0)
-    path = np.zeros((b.shape[1] + 1,) + x0.shape) if record else None
-    for k, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a_t)):
-        k1 = b1 - (x0 * np.exp(ell)) @ a1
-        k2 = b2 - (x0 * np.exp(ell + half * k1)) @ a2
-        k3 = b2 - (x0 * np.exp(ell + half * k2)) @ a2
-        k4 = b4 - (x0 * np.exp(ell + h * k3)) @ a4
+    x0_cols = np.atleast_2d(x0).T.copy()
+    ell = np.zeros_like(x0_cols)
+    path = np.zeros((b.shape[1] + 1,) + ell.shape) if record else None
+    for k, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a)):
+        k1 = b1 - a1 @ (x0_cols * np.exp(ell))
+        k2 = b2 - a2 @ (x0_cols * np.exp(ell + half * k1))
+        k3 = b2 - a2 @ (x0_cols * np.exp(ell + half * k2))
+        k4 = b4 - a4 @ (x0_cols * np.exp(ell + h * k3))
         ell = ell + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if check_each_step and not np.all(np.isfinite(ell)):
             t = t0 + k * h + h
@@ -159,7 +172,10 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False):
     # non-finite here; the re-run checks every step and raises at the first
     if not (check_each_step or np.all(np.isfinite(ell))):
         _log_gain(table, x0, check_each_step=True)
-    return (t0 + h * np.arange(len(path)), path) if record else ell
+    if record:
+        rows = path.transpose(0, 2, 1).reshape((-1,) + x0.shape)
+        return t0 + h * np.arange(len(path)), np.ascontiguousarray(rows)
+    return np.ascontiguousarray(ell.T.reshape(x0.shape))
 
 
 @dataclass
@@ -194,7 +210,8 @@ class PoincareMapModel(CompetitionModel):
     rates, so T_i(x) = x_i G_i(x) holds exactly and G extends continuously
     to the facets.  The growth Jacobian falls back to finite differences.
     One coefficient table per model, filled here a period at a time by
-    ``coefficients_at``, serves every ``growth`` call.
+    ``coefficients_at``, serves every ``growth`` call; a call on N rows runs
+    one species-major RK4 loop over (n, N) arrays and returns (N, n).
     """
 
     def __init__(self, system: PeriodicLVSystem, config: IntegrationConfig | None = None):

@@ -82,6 +82,19 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_oversized_ode_steps_is_a_usage_error_before_any_table(tmp_path, capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a stage table was built")
+
+    monkeypatch.setattr("carrysim.periodic._stage_table", no_table)
+    argv = ["check", "--model", model("periodic_lv2"), "--ode-steps", "100000000"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert ">= 64 and <= 65536" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simplex_exits_1_when_the_surface_is_not_unordered(tmp_path, capsys):
     path = tmp_path / "overshoot.json"
     path.write_text(json.dumps(OVERSHOOT))

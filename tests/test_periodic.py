@@ -81,6 +81,11 @@ class TestIntegration:
         with pytest.raises(ValueError, match=">= 64"):
             IntegrationConfig(32)
 
+    def test_max_steps_enforced(self):
+        assert IntegrationConfig(65_536).steps_per_period == 65_536
+        with pytest.raises(ValueError, match="<= 65536"):
+            IntegrationConfig(65_537)
+
 
 class TestPoincareMap:
     def test_scalar_fixed_point_is_capacity(self):
