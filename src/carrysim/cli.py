@@ -96,6 +96,14 @@ def _ode_steps(text: str) -> IntegrationConfig:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _check_span(config: IntegrationConfig, periods: float, flag: str) -> None:
+    """Refuse, before any table is built, a span one integration cannot take."""
+    try:
+        config.steps_over((0.0, periods))
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _write_json(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -313,6 +321,7 @@ def cmd_simulate(args) -> int:
     n = loaded.n
 
     if loaded.system is not None:
+        _check_span(args.integration, float(args.steps), "--steps")
         traj = integrate(loaded.system, x0, (0.0, float(args.steps)), args.integration)
         header = ["t"] + [f"u_{i + 1}" for i in range(n)]
         write_csv(out, header, np.column_stack([traj.times, traj.states]))
@@ -357,6 +366,7 @@ def cmd_wangjiang(args) -> int:
     loaded = load_model_file(args.model)
     if loaded.system is None:
         raise UsageError("wangjiang requires a periodic_lv model")
+    _check_span(args.integration, args.t_span, "--t-span")
     system = loaded.system
     # Wang & Jiang's ratio argument needs A1 (A_ij >= 0), A2 (A_ii > 0) and
     # A4 (B_i > 0); the starts below are scaled by B_i / A_ii.

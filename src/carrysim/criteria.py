@@ -88,10 +88,9 @@ def competition_matrix(model: CompetitionModel, x) -> np.ndarray:
     T'(x) = diag(G(x)) (I - M(x)).
     """
     x = np.asarray(x, dtype=float)
-    g = model.growth(x)
+    g, gp = model.growth_and_jacobian(x)
     if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
         raise ValueError("competition matrix undefined (nonpositive growth factor)")
-    gp = model.growth_jacobian(x)
     return -(x / g)[..., :, None] * gp
 
 

@@ -64,12 +64,13 @@ class CompetitionModel:
         raise NotImplementedError
 
     def growth_jacobian(self, x) -> np.ndarray:
-        """dG_i/dx_j, shape (..., n, n).
+        """dG_i/dx_j, shape (..., n, n)."""
+        raise NotImplementedError
 
-        Default is a central finite difference of :meth:`growth` with step
-        1e-6 * (1 + |x_j|) per coordinate; closed-form families override.
-        """
-        return finite_difference_growth_jacobian(self, x)
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """G(x) and G'(x) together.  A model whose Jacobian comes out of the
+        evaluation of G overrides this to pay for that evaluation once."""
+        return self.growth(x), self.growth_jacobian(x)
 
     def axial_fixed_points(self) -> np.ndarray:
         """The vector q with q_i the positive fixed point of T on axis i."""
@@ -97,8 +98,7 @@ class CompetitionModel:
     def step_jacobian(self, x) -> np.ndarray:
         """T'(x) = diag(G(x)) + diag(x) G'(x), shape (..., n, n)."""
         x = _check_batch(x, self.n)
-        g = self.growth(x)
-        gp = self.growth_jacobian(x)
+        g, gp = self.growth_and_jacobian(x)
         return _diag_embed(g) + x[..., :, None] * gp
 
     def verified_axial_fixed_points(self) -> np.ndarray:
@@ -130,23 +130,6 @@ class CompetitionModel:
 def _diag_embed(g: np.ndarray) -> np.ndarray:
     """diag(g) with a broadcast batch axis: (..., n) -> (..., n, n)."""
     return np.eye(g.shape[-1]) * g[..., None, :]
-
-
-def finite_difference_growth_jacobian(model: CompetitionModel, x) -> np.ndarray:
-    """Central finite differences of G, step 1e-6 * (1 + |x_j|).
-
-    The 2n perturbed copies of the whole batch go to ``growth`` in one call.
-    """
-    x = _check_batch(x, model.n)
-    squeeze = x.ndim == 1
-    pts = np.atleast_2d(x)
-    N, n = pts.shape
-    h = 1e-6 * (1.0 + np.abs(pts))
-    offsets = np.eye(n)[:, None, :] * h  # copy j moves coordinate j by h_j
-    shifted = np.concatenate([pts + offsets, pts - offsets]).reshape(2 * n * N, n)
-    up, dn = model.growth(shifted).reshape(2, n, N, n)
-    jac = np.moveaxis((up - dn) / (2.0 * h.T)[:, :, None], 0, -1)
-    return jac[0] if squeeze else jac
 
 
 def _validate_interaction_matrix(a, n: int) -> np.ndarray:

@@ -9,12 +9,15 @@ read from a table of the RK4 stage times, built once per ``PoincareMapModel``
 and once per ``integrate`` call and filled a period at a time by the one
 Fourier evaluator, ``PeriodicLVSystem.coefficients_at``.  A batch of N
 states is integrated species-major, as (n, N) arrays, so that each RK4 stage
-is one product A(t) @ u of the tabulated matrix with all N states.
+is one product A(t) @ u of the tabulated matrix with all N states.  The same
+loop can carry the tangent dl/dx0 of the discrete map, which gives the exact
+growth Jacobian of the Poincare map and the Newton slope for its axial fixed
+points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +52,8 @@ class FourierSeries:
 
 
 MAX_STEPS_PER_PERIOD = 65_536  # bounds a period's stage table at 3 * 65,536 * (n + 1) n floats
+# bounds one integration's stage table at 3 * 2**20 * (n + 1) n floats
+MAX_STEPS_PER_INTEGRATION = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,17 @@ class IntegrationConfig:
                 f"steps_per_period must be >= 64 and <= {MAX_STEPS_PER_PERIOD}, "
                 f"got {self.steps_per_period}"
             )
+
+    def steps_over(self, t_span) -> int:
+        """The RK4 steps over ``t_span``: at least 1, at most ``MAX_STEPS_PER_INTEGRATION``."""
+        t0, t1 = float(t_span[0]), float(t_span[1])
+        steps = (t1 - t0) * self.steps_per_period
+        if not 0.0 < steps < MAX_STEPS_PER_INTEGRATION + 0.5:
+            raise ValueError(
+                f"t_span must be increasing and take at most {MAX_STEPS_PER_INTEGRATION} RK4 "
+                f"steps, got {t1 - t0:g} periods of {self.steps_per_period}"
+            )
+        return max(1, int(round(steps)))
 
 
 class PeriodicLVSystem:
@@ -128,9 +144,7 @@ def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
     evaluator's temporaries.  B(t) is stored as a column and A(t) C-contiguous,
     the operands of the species-major stage ``B(t) - A(t) @ u``."""
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
-    steps = max(1, int(round((t1 - t0) * config.steps_per_period)))
+    steps = config.steps_over(t_span)
     h = (t1 - t0) / steps
     t = t0 + np.arange(steps) * h
     b = np.empty((3, steps, system.n))
@@ -144,23 +158,43 @@ def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
 
 # an overflow shows up as a non-finite l, which is raised as IntegrationError
 @np.errstate(over="ignore", invalid="ignore")
-def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False):
+def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangent=False):
     """RK4 on dl/dt = B(t) - A(t) (x0 * exp(l)) over a ``_stage_table``; returns
     l(t1), or with ``record`` the step-boundary times and l at each of them.
 
     ``x0`` is one state (n,) or a batch (N, n); the loop carries x0 and l
     species-major, as (n, N) arrays, so that every stage is one (n, n) @ (n, N)
-    product, and l comes back in the shape of ``x0``."""
+    product, and l comes back in the shape of ``x0``.
+
+    With ``tangent`` it also carries D = dl/dx0 of the discrete map, column j
+    with the stage tangent -A (u * D_j + e_j exp(l)), all n columns as one
+    (n, n, N) stack through A(t), and returns (l, D) with D[..., i, j] =
+    dl_i/dx0_j; l goes through the same operations with or without it."""
     t0, h, b, a = table
     half, sixth = 0.5 * h, h / 6.0
     x0_cols = np.atleast_2d(x0).T.copy()
+    n, N = x0_cols.shape
     ell = np.zeros_like(x0_cols)
+    d_ell, eye = (np.zeros((n, n, N)), np.eye(n)[:, :, None]) if tangent else (None, None)
     path = np.zeros((b.shape[1] + 1,) + ell.shape) if record else None
+
+    def stage_tangent(a_t, ell_t, d_t):  # A exp(l) (x0 D_j + e_j), every column j at once
+        du = x0_cols * d_t
+        du += eye
+        du *= np.exp(ell_t)
+        return a_t @ du
+
     for k, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a)):
         k1 = b1 - a1 @ (x0_cols * np.exp(ell))
         k2 = b2 - a2 @ (x0_cols * np.exp(ell + half * k1))
         k3 = b2 - a2 @ (x0_cols * np.exp(ell + half * k2))
         k4 = b4 - a4 @ (x0_cols * np.exp(ell + h * k3))
+        if tangent:
+            p1 = stage_tangent(a1, ell, d_ell)
+            p2 = stage_tangent(a2, ell + half * k1, d_ell - half * p1)
+            p3 = stage_tangent(a2, ell + half * k2, d_ell - half * p2)
+            p4 = stage_tangent(a4, ell + h * k3, d_ell - h * p3)
+            d_ell = d_ell - sixth * (p1 + p4 + 2.0 * (p2 + p3))
         ell = ell + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if check_each_step and not np.all(np.isfinite(ell)):
             t = t0 + k * h + h
@@ -175,7 +209,10 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False):
     if record:
         rows = path.transpose(0, 2, 1).reshape((-1,) + x0.shape)
         return t0 + h * np.arange(len(path)), np.ascontiguousarray(rows)
-    return np.ascontiguousarray(ell.T.reshape(x0.shape))
+    ell = np.ascontiguousarray(ell.T.reshape(x0.shape))
+    if tangent:
+        return ell, np.ascontiguousarray(d_ell.transpose(2, 1, 0).reshape(x0.shape + (n,)))
+    return ell
 
 
 @dataclass
@@ -199,7 +236,7 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
-AXIAL_Q_TOL = 1e-13  # relative step at which the axis iteration for q stops
+AXIAL_Q_TOL = 1e-13  # relative Newton step at which the axis solve for q stops
 AXIAL_Q_MAX_ITER = 10_000
 
 
@@ -208,10 +245,11 @@ class PoincareMapModel(CompetitionModel):
 
     Growth factors are G(x) = exp(l(1)) with l the integrated per-capita
     rates, so T_i(x) = x_i G_i(x) holds exactly and G extends continuously
-    to the facets.  The growth Jacobian falls back to finite differences.
-    One coefficient table per model, filled here a period at a time by
-    ``coefficients_at``, serves every ``growth`` call; a call on N rows runs
-    one species-major RK4 loop over (n, N) arrays and returns (N, n).
+    to the facets.  The growth Jacobian G_i dl_i/dx_j is the exact derivative
+    of the RK4 map, from the tangent the same loop carries next to l.  One
+    coefficient table per model, filled here a period at a time by
+    ``coefficients_at``, serves every evaluation; a call on N rows runs one
+    species-major RK4 loop over (n, N) arrays and returns (N, n).
     """
 
     def __init__(self, system: PeriodicLVSystem, config: IntegrationConfig | None = None):
@@ -223,32 +261,47 @@ class PoincareMapModel(CompetitionModel):
     def growth(self, x) -> np.ndarray:
         return np.exp(_log_gain(self._table, np.asarray(x, dtype=float)))
 
-    def axial_fixed_points(self) -> np.ndarray:
-        """Iterate the map on every axis, all n species as one batch.
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        ell, d_ell = _log_gain(self._table, np.asarray(x, dtype=float), tangent=True)
+        g = np.exp(ell)
+        return g, g[..., :, None] * d_ell
 
-        A row stops updating once it has converged or left (0, 1e12].  Each
-        call iterates afresh; ``verified_axial_fixed_points`` keeps the result.
+    def growth_jacobian(self, x) -> np.ndarray:
+        return self.growth_and_jacobian(x)[1]
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def axial_fixed_points(self) -> np.ndarray:
+        """Newton on l_i(1; r e_i) = 0, r > 0, all n axes as one batch of tangent passes.
+
+        A row keeps the bracket lo < q < hi shown by the signs of l (l > 0
+        below q); a step that leaves it, yet is not below ``AXIAL_Q_TOL``
+        relative, becomes the bracket's midpoint, or 2 r while hi is unknown.
+        A row stops on such a small step or once r leaves [1e-12, 1e12].  Each
+        call solves afresh; ``verified_axial_fixed_points`` keeps the result.
         """
         n = self.n
-        r = np.ones(n)
-        for i in range(n):
-            b0 = self.system.B[i].const
-            a0 = self.system.A[i][i].const
-            if b0 > 0 and a0 > 0:
-                r[i] = b0 / a0
-        active = np.ones(n, dtype=bool)
-        converged = np.zeros(n, dtype=bool)
+        b0, a0 = self.system._b_const, np.diagonal(self.system._a_const)
+        r = np.where((b0 > 0) & (a0 > 0), b0 / a0, 1.0)
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+        active, converged = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         for _ in range(AXIAL_Q_MAX_ITER):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            r_new = self.axis_step(rows, r[rows])
-            escaped = ~np.isfinite(r_new) | (r_new > 1e12)
-            settled = ~escaped & (np.abs(r_new - r[rows]) < AXIAL_Q_TOL * np.maximum(1.0, r_new))
-            r[rows[~escaped]] = r_new[~escaped]
-            converged[rows[settled]] = True
-            active[rows[escaped | settled]] = False
-        failed = np.flatnonzero(~converged | (r < 1e-12))
+            k = np.arange(rows.size)
+            ell, d_ell = _log_gain(self._table, np.eye(n)[rows] * r[rows, None], tangent=True)
+            ell, slope, x = ell[k, rows], d_ell[k, rows, rows], r[rows]
+            lo[rows] = np.where(ell > 0.0, x, lo[rows])
+            hi[rows] = np.where(ell < 0.0, x, hi[rows])
+            newton = x - ell / slope
+            small = np.abs(newton - x) < AXIAL_Q_TOL * np.maximum(1.0, newton)
+            inside = (lo[rows] < newton) & (newton < hi[rows])
+            bisect = np.where(np.isinf(hi[rows]), 2.0 * x, 0.5 * (lo[rows] + hi[rows]))
+            r[rows] = r_new = np.where(inside | small, newton, bisect)
+            escaped = (r_new > 1e12) | (r_new < 1e-12)
+            converged[rows[small & ~escaped]] = True
+            active[rows[small | escaped]] = False
+        failed = np.flatnonzero(~converged)
         if failed.size:
             raise ModelParameterError(
                 f"no axial fixed point for species {failed[0] + 1}: axis iteration "
@@ -334,14 +387,7 @@ class WangJiangResult:
     ordered_throughout: bool
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_slope": self.min_slope,
-            "window_steps": self.window_steps,
-            "total_steps": self.total_steps,
-            "ordered_throughout": self.ordered_throughout,
-            "slope_tolerance": WANG_JIANG_SLOPE_TOL,
-        }
+        return {**asdict(self), "slope_tolerance": WANG_JIANG_SLOPE_TOL}
 
 
 def wang_jiang_check(
@@ -377,16 +423,8 @@ def wang_jiang_check(
     ordered_throughout = breaks.size == 0
 
     ratios = U[:window_end] / V[:window_end]
-    if ratios.shape[0] < 2:
-        return WangJiangResult(
-            passed=False,
-            min_slope=np.nan,
-            window_steps=0,
-            total_steps=U.shape[0] - 1,
-            ordered_throughout=ordered_throughout,
-        )
-    slopes = np.diff(ratios, axis=0) / h
-    min_slope = float(slopes.min())
+    # a window of one state has no slope, and a NaN slope does not pass
+    min_slope = float((np.diff(ratios, axis=0) / h).min()) if len(ratios) > 1 else np.nan
     return WangJiangResult(
         passed=min_slope > -WANG_JIANG_SLOPE_TOL,
         min_slope=min_slope,

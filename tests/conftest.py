@@ -58,3 +58,29 @@ def random_competitive_system(rng: np.random.Generator, n: int) -> PeriodicLVSys
             row.append(series(base))
         A.append(row)
     return PeriodicLVSystem(B, A)
+
+
+def finite_difference_growth_jacobian(model, x, rel_step=1e-6) -> np.ndarray:
+    """Central finite differences of G, step rel_step * (1 + |x_j|): the
+    reference for the analytic Jacobians.
+
+    The 2n perturbed copies of the whole batch go to ``growth`` in one call.
+    """
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    pts = np.atleast_2d(x)
+    N, n = pts.shape
+    h = rel_step * (1.0 + np.abs(pts))
+    offsets = np.eye(n)[:, None, :] * h  # copy j moves coordinate j by h_j
+    shifted = np.concatenate([pts + offsets, pts - offsets]).reshape(2 * n * N, n)
+    up, dn = model.growth(shifted).reshape(2, n, N, n)
+    jac = np.moveaxis((up - dn) / (2.0 * h.T)[:, :, None], 0, -1)
+    return jac[0] if squeeze else jac
+
+
+def richardson_growth_jacobian(model, x, rel_step=1e-3) -> np.ndarray:
+    """Richardson extrapolation of two central differences, steps h and h/2:
+    the h^2 error term cancels, which leaves O(h^4) and the rounding error."""
+    coarse = finite_difference_growth_jacobian(model, x, rel_step)
+    fine = finite_difference_growth_jacobian(model, x, 0.5 * rel_step)
+    return (4.0 * fine - coarse) / 3.0

@@ -1,11 +1,12 @@
 """The batched checkers against the point-by-point loops they replaced.
 
 Each ``reference_*`` function below is the earlier per-point implementation,
-kept here as the oracle.  Closed-form models and axis iterations use the same
-arithmetic in both forms and must agree exactly.  Where a period map is
-differentiated by finite differences, a batch may round a growth factor
-differently in the last bit; the 1e-6 step magnifies that about 1e6 times, so
-those values are compared to 1e-9 relative.
+kept here as the oracle.  Closed-form models and C4's axis iterations use
+the same arithmetic in both forms and must agree exactly.  The period map's
+Jacobian is the exact derivative of its RK4 step; it is compared with a
+per-coordinate central difference, and the criteria built on it with their
+per-point loops, to 1e-9 relative, the error of a 1e-6 difference step.  The
+Newton solve for q is compared with the axis iteration to 1e-12 relative.
 """
 
 import itertools
@@ -331,9 +332,31 @@ def test_axial_pass_on_period_map_matches_reference(periodic64):
     assert check_axial(periodic64).to_record() == reference_axial(periodic64).to_record()
 
 
+def axis_residuals(model, q):
+    return np.abs(model.axis_step(np.arange(model.n), q) - q)
+
+
 def test_periodic_axial_q_matches_reference(periodic64):
+    # Newton on l_i(1; r e_i) = 0 lands on the fixed point of the axis iteration
     fresh = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
-    assert np.array_equal(fresh.axial_fixed_points(), reference_periodic_axial_q(periodic64))
+    q, reference = fresh.axial_fixed_points(), reference_periodic_axial_q(periodic64)
+    assert np.allclose(q, reference, rtol=1e-12, atol=0.0)
+    assert np.all(axis_residuals(fresh, q) <= axis_residuals(fresh, reference))
+
+
+# B = 10 - 8 cos, A = 1 + 0.8 cos: q = 3.50, far below the start B_mean / A_mean = 10
+FORCED = PeriodicLVSystem([FourierSeries(10.0, cos=(-8.0,))], [[FourierSeries(1.0, cos=(0.8,))]])
+
+
+def test_axial_q_safeguard_on_a_strongly_forced_axis():
+    model = PoincareMapModel(FORCED, IntegrationConfig(64))
+    r0 = np.array([10.0])  # the start B_mean / A_mean
+    g, gp = model.growth_and_jacobian(r0)
+    newton = r0 - np.log(g) * g / gp[0]  # a bare step on l = log G, l' = G' / G
+    assert newton[0] < 0.0
+    q, reference = model.axial_fixed_points(), reference_periodic_axial_q(model)
+    assert np.allclose(q, reference, rtol=1e-12, atol=0.0)
+    assert np.all(axis_residuals(model, q) <= axis_residuals(model, reference))
 
 
 @pytest.mark.parametrize(
@@ -415,7 +438,7 @@ def test_verified_q_is_checked_once_and_shared(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Eq4 and the finite-difference Jacobian
+# Eq4 and the period map's Jacobian
 # ---------------------------------------------------------------------------
 
 
@@ -440,6 +463,7 @@ def test_spectral_grid_on_closed_forms_matches_reference(name, request):
 
 
 def test_fd_jacobian_matches_per_coordinate_reference(periodic64):
+    # the exact Jacobian against a per-coordinate central difference
     q = periodic64.verified_axial_fixed_points()
     pts = np.vstack([np.random.default_rng(9).random((6, 2)) * q, np.zeros(2), np.diag(q)])
     batched = periodic64.growth_jacobian(pts)
@@ -759,6 +783,21 @@ def test_period_map_growth_matches_per_stage_rk4(steps):
         for row in _batch_with_facets(rng, 3, n):
             reference = np.exp(reference_log_gain(system, row, (0.0, 1.0), config))
             assert np.array_equal(model.growth(row), reference), (n, K, row)
+
+
+# the grid of the per-stage test above: n = 1..6, K = 0, 1, 3, 1 to 5,000 rows
+@pytest.mark.parametrize("steps", [64, 100])
+def test_tangent_pass_growth_matches_growth(steps):
+    config = IntegrationConfig(steps)
+    rng = np.random.default_rng(steps)
+    for n, K in itertools.product(range(1, 7), (0, 1, 3)):
+        system = random_fourier_system(np.random.default_rng(10 * n + K), n, K)
+        model = PoincareMapModel(system, config)
+        batches = [_batch_with_facets(rng, rows, n) for rows in (1, 3, 100, 5_000)]
+        for x in batches + list(_batch_with_facets(rng, 3, n)):
+            g, gp = model.growth_and_jacobian(x)
+            assert np.array_equal(g, model.growth(x)), (n, K, x.shape)
+            assert gp.shape == x.shape + (n,) and np.all(np.isfinite(gp))
 
 
 def test_integrate_matches_per_stage_rk4_off_the_period_grid():

@@ -95,6 +95,27 @@ def test_oversized_ode_steps_is_a_usage_error_before_any_table(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wangjiang", "--model", model("periodic_lv2"), "--t-span", "1e9"],
+        ["simulate", "--model", model("periodic_lv2"), "--x0", "0.1,0.2", "--steps", "100000000"],
+    ],
+)
+def test_oversized_integration_span_is_a_usage_error_before_any_table(
+    argv, tmp_path, capsys, monkeypatch
+):
+    def no_table(*args):
+        raise AssertionError("a stage table was built")
+
+    monkeypatch.setattr("carrysim.periodic._stage_table", no_table)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "at most 1048576 RK4 steps" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simplex_exits_1_when_the_surface_is_not_unordered(tmp_path, capsys):
     path = tmp_path / "overshoot.json"
     path.write_text(json.dumps(OVERSHOOT))

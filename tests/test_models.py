@@ -10,8 +10,9 @@ from carrysim.models import (
     NeuralNetModel,
     ShiftedSoftplus,
     as_state,
-    finite_difference_growth_jacobian,
 )
+
+from conftest import finite_difference_growth_jacobian
 
 
 def all_families(may2, lg2, neural2):

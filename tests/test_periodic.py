@@ -1,9 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from carrysim.criteria import run_criteria
+from carrysim.modelio import load_model_file
 from carrysim.models import ModelParameterError
 from carrysim.periodic import (
     FourierSeries,
@@ -15,7 +17,9 @@ from carrysim.periodic import (
     wang_jiang_check,
 )
 
-from conftest import random_competitive_system
+from conftest import random_competitive_system, richardson_growth_jacobian
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def logistic_exact(t, r, sigma, u0):
@@ -154,6 +158,30 @@ class TestPoincareMap:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 193 * 20 * 64
+
+    def test_growth_jacobian_of_the_logistic_matches_the_time_one_map(self):
+        # u' = u (b - a u) maps x to x e^b / (1 + c x), c = a (e^b - 1) / b, so
+        # G'(x) = -c e^b / (1 + c x)^2; RK4's error falls 16x per halved step
+        b, a = 1.0, 1.0
+        x = np.linspace(0.0, 3.0, 13)[:, None]
+        c = a * np.expm1(b) / b
+        exact = -c * np.exp(b) / (1.0 + c * x[:, 0]) ** 2
+        errors = []
+        for steps in (64, 128):
+            pm = PoincareMapModel(PeriodicLVSystem([b], [[a]]), IntegrationConfig(steps))
+            errors.append(np.abs(pm.growth_jacobian(x)[:, 0, 0] - exact).max())
+        assert errors[0] < 1e-9
+        assert errors[0] > 12.0 * errors[1]
+
+    def test_growth_jacobian_matches_richardson_differences(self):
+        pm = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
+        q = pm.verified_axial_fixed_points()
+        rng = np.random.default_rng(4)
+        pts = np.vstack([rng.random((20, 2)) * 1.5 * q, np.zeros(2), np.diag(q)])
+        jac = pm.growth_jacobian(pts)
+        assert np.allclose(jac, richardson_growth_jacobian(pm, pts), rtol=0.0, atol=1e-10)
+        g, gp = pm.growth_and_jacobian(pts)
+        assert np.array_equal(g, pm.growth(pts)) and np.array_equal(gp, jac)
 
     def test_axial_failure_when_growth_cannot_balance(self):
         # negative mean gain drives the axis to extinction: no fixed point
