@@ -14,6 +14,13 @@ no rule below applies:
   ``error:`` line (an ``--out`` outside an existing directory is refused
   before the model is read); 1 with one ``error:`` line when a model
   evaluation or an output write fails.
+
+Once the model's n is known, and before any array is built, a usage error
+also refuses a flag whose largest batch, at n x n floats per row, would hold
+more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
+``--grid m`` (``check`` and the ``simplex`` pre-check), a surface lattice of
+(m + 1)^(n - 1) rows for ``simplex --grid m``, and one row per sample for
+``--samples``.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
+CRITERIA_GRID = 16  # the criteria's grid resolution when --grid is not given
+# rows * n * n of the largest Jacobian batch a --grid or --samples value may
+# ask for (512 MiB of floats); the period map's tangent pass holds several
+MAX_BATCH_ENTRIES = 1 << 26
 
 
 class UsageError(Exception):
@@ -102,6 +113,23 @@ def _check_span(config: IntegrationConfig, periods: float, flag: str) -> None:
         config.steps_over((0.0, periods))
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _check_batch(flag: str, rows: int, n: int) -> None:
+    """Refuse, before any array is built, a flag value that asks for a batch
+    of ``rows`` states whose Jacobians exceed ``MAX_BATCH_ENTRIES`` floats."""
+    if rows * n * n > MAX_BATCH_ENTRIES:
+        raise UsageError(
+            f"{flag}: asks for a batch of {rows} points; at most "
+            f"{MAX_BATCH_ENTRIES // (n * n)} for {n} species"
+        )
+
+
+def _check_criteria_batches(args, n: int) -> None:
+    """The criteria evaluate M on a grid of m^n points, and C5's Jacobian at
+    one point per sample."""
+    _check_batch("--grid", (args.grid or CRITERIA_GRID) ** n, n)
+    _check_batch("--samples", args.samples, n)
 
 
 def _write_json(payload: dict, path) -> None:
@@ -200,7 +228,7 @@ def _collect_conditions(loaded: LoadedModel, model, args) -> list:
     """A1-A4 of a periodic system, then every criterion on the map ``model``."""
     conditions = [] if loaded.system is None else check_a_conditions(loaded.system)
     return conditions + run_criteria(
-        model, grid_resolution=args.grid or 16, samples=args.samples, seed=args.seed
+        model, grid_resolution=args.grid or CRITERIA_GRID, samples=args.samples, seed=args.seed
     )
 
 
@@ -214,13 +242,14 @@ def _verdict_code(conditions) -> int:
 
 def cmd_check(args) -> int:
     loaded = load_model_file(args.model)
+    _check_criteria_batches(args, loaded.n)
     conditions = _collect_conditions(loaded, loaded.map_model(args.integration), args)
 
     payload = {
         "model": str(args.model),
         "type": loaded.family,
         "seed": args.seed,
-        "grid_resolution": args.grid or 16,
+        "grid_resolution": args.grid or CRITERIA_GRID,
         "samples": args.samples,
         "conditions": [c.to_record() for c in conditions],
     }
@@ -240,9 +269,16 @@ def cmd_check(args) -> int:
 
 def cmd_simplex(args) -> int:
     loaded = load_model_file(args.model)
+    n = loaded.n
+    if n > 1 and args.grid is not None and args.grid < 2:
+        raise UsageError(f"--grid must be >= 2 for a surface of {n} species")
+    if not args.force:
+        _check_criteria_batches(args, n)
+    if n > 3:
+        _check_batch("--samples", args.samples, n)
+    elif args.grid is not None:
+        _check_batch("--grid", (args.grid + 1) ** (n - 1), n)
     model = loaded.map_model(args.integration)
-    if model.n > 1 and args.grid is not None and args.grid < 2:
-        raise UsageError(f"--grid must be >= 2 for a surface of {model.n} species")
 
     if not args.force:
         conditions = _collect_conditions(loaded, model, args)

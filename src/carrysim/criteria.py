@@ -151,6 +151,22 @@ def _grid_points(q: np.ndarray, resolution: int) -> np.ndarray:
     return _mesh_points([q_i * np.arange(1, resolution + 1) / resolution for q_i in q])
 
 
+def _grid_competition_matrices(model: CompetitionModel, resolution: int):
+    """The (0, q] grid and M at its points, for Eq3a/Eq3b and Eq4's first
+    pass: computed once per model and resolution and cached on the instance,
+    as q is, so that for the period map the checkers share one tangent pass.
+    The arrays are read-only because both checkers share them."""
+    cached = getattr(model, "_grid_competition", None)
+    if cached is not None and cached[0] == resolution:
+        return cached[1]
+    pts = _grid_points(model.verified_axial_fixed_points(), resolution)
+    M = competition_matrix(model, pts)
+    pts.setflags(write=False)
+    M.setflags(write=False)
+    model._grid_competition = (resolution, (pts, M))
+    return pts, M
+
+
 def _mesh_points(axes) -> np.ndarray:
     """Every combination of the per-axis values, one point per row."""
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -487,12 +503,13 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> C
 
     Evaluates rho(M(x)) on a regular grid (origin excluded by one grid
     step), refines at 4x density around the argmax, and labels the verdict
-    as sampled.  M is evaluated in one batch per grid; the spectral radius
-    is taken matrix by matrix.
+    as sampled.  M is evaluated in one batch per grid, on the regular grid
+    once per model and resolution, shared with Eq3a/Eq3b; the spectral
+    radius is taken matrix by matrix.
     """
     q = model.verified_axial_fixed_points()
-    pts = _grid_points(q, grid_resolution)
-    rhos = np.array([spectral_radius(M) for M in competition_matrix(model, pts)])
+    pts, M = _grid_competition_matrices(model, grid_resolution)
+    rhos = np.array([spectral_radius(M_x) for M_x in M])
     worst_idx = int(np.argmax(rhos))
     worst = float(rhos[worst_idx])
     witness = pts[worst_idx]
@@ -517,10 +534,12 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> C
 def check_gershgorin_grid(
     model: CompetitionModel, grid_resolution: int = 16
 ) -> tuple[ConditionResult, ConditionResult]:
-    """Column-sum (Eq3a) and row-sum (Eq3b) bounds of M(x) over the (0, q] grid."""
-    q = model.verified_axial_fixed_points()
-    pts = _grid_points(q, grid_resolution)
-    M = competition_matrix(model, pts)
+    """Column-sum (Eq3a) and row-sum (Eq3b) bounds of M(x) over the (0, q] grid.
+
+    M on the grid is evaluated once per model and resolution, shared with
+    Eq4's unrefined grid.
+    """
+    pts, M = _grid_competition_matrices(model, grid_resolution)
     col_sums = M.sum(axis=1)  # (N, n): column j sums per point
     row_sums = M.sum(axis=2)
 

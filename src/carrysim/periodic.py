@@ -9,10 +9,11 @@ read from a table of the RK4 stage times, built once per ``PoincareMapModel``
 and once per ``integrate`` call and filled a period at a time by the one
 Fourier evaluator, ``PeriodicLVSystem.coefficients_at``.  A batch of N
 states is integrated species-major, as (n, N) arrays, so that each RK4 stage
-is one product A(t) @ u of the tabulated matrix with all N states.  The same
+is one product A(t) @ u of the tabulated matrix with all N states, written
+with the rest of the stage into buffers allocated once per call.  The same
 loop can carry the tangent dl/dx0 of the discrete map, which gives the exact
 growth Jacobian of the Poincare map and the Newton slope for its axial fixed
-points.
+points; its stages reuse the exp(l) of the l stages.
 """
 
 from __future__ import annotations
@@ -164,43 +165,98 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangen
 
     ``x0`` is one state (n,) or a batch (N, n); the loop carries x0 and l
     species-major, as (n, N) arrays, so that every stage is one (n, n) @ (n, N)
-    product, and l comes back in the shape of ``x0``.
+    product, and l comes back in the shape of ``x0``.  A step is a fixed
+    sequence of numpy calls, each writing into buffers allocated once per
+    call: a stage's argument l + c k, its exp, x0 times that, and the stage
+    increment; k1 + 2 k2 + 2 k3 + k4 is summed in that order in one more
+    buffer, with 2 k taken as k + k.  Every float is that of the plain
+    expression ``l + h/6 (k1 + 2 k2 + 2 k3 + k4)``.
 
     With ``tangent`` it also carries D = dl/dx0 of the discrete map, column j
     with the stage tangent -A (u * D_j + e_j exp(l)), all n columns as one
     (n, n, N) stack through A(t), and returns (l, D) with D[..., i, j] =
-    dl_i/dx0_j; l goes through the same operations with or without it."""
+    dl_i/dx0_j.  The tangent stages read exp(l_s) from the l stages, which
+    keep the four in buffers of their own only then; l goes through the same
+    operations with or without the tangent."""
     t0, h, b, a = table
-    half, sixth = 0.5 * h, h / 6.0
+    # 0-d arrays: a ufunc takes them with less overhead than Python floats
+    half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
     x0_cols = np.atleast_2d(x0).T.copy()
     n, N = x0_cols.shape
     ell = np.zeros_like(x0_cols)
-    d_ell, eye = (np.zeros((n, n, N)), np.eye(n)[:, :, None]) if tangent else (None, None)
+    k_sum, k, w = np.empty((3, n, N))
+    e1, e2, e3, e4 = np.empty((4, n, N)) if tangent else (w,) * 4
+    if tangent:
+        d_ell, eye = np.zeros((n, n, N)), np.eye(n)[:, :, None]
+        p1, p23, p, du = np.empty((4, n, n, N))
     path = np.zeros((b.shape[1] + 1,) + ell.shape) if record else None
 
-    def stage_tangent(a_t, ell_t, d_t):  # A exp(l) (x0 D_j + e_j), every column j at once
-        du = x0_cols * d_t
-        du += eye
-        du *= np.exp(ell_t)
-        return a_t @ du
+    def tangent_stage(a_t, e_t, out, p_prev=None, c=None):
+        """out = A(t) @ (exp(l_s) (x0 D_s + e_j)) for every column j, where
+        D_s = D - c p_prev, or D itself without ``p_prev``."""
+        if p_prev is None:
+            np.multiply(x0_cols, d_ell, out=du)
+        else:
+            np.multiply(p_prev, c, out=du)
+            np.subtract(d_ell, du, out=du)
+            np.multiply(x0_cols, du, out=du)
+        np.add(du, eye, out=du)
+        np.multiply(du, e_t, out=du)
+        np.matmul(a_t, du, out=out)
 
-    for k, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a)):
-        k1 = b1 - a1 @ (x0_cols * np.exp(ell))
-        k2 = b2 - a2 @ (x0_cols * np.exp(ell + half * k1))
-        k3 = b2 - a2 @ (x0_cols * np.exp(ell + half * k2))
-        k4 = b4 - a4 @ (x0_cols * np.exp(ell + h * k3))
+    # ndarray.dot is the cheapest call of the (n, n) @ (n, N) product, with
+    # the bits of @; the tangent's stacked (n, n) @ (n, n, N) takes matmul
+    for step, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a)):
+        # k1, into the sum
+        np.exp(ell, out=e1)
+        np.multiply(x0_cols, e1, out=w)
+        a1.dot(w, out=k_sum)
+        np.subtract(b1, k_sum, out=k_sum)
+        # k2
+        np.multiply(k_sum, half, out=w)
+        np.add(ell, w, out=w)
+        np.exp(w, out=e2)
+        np.multiply(x0_cols, e2, out=w)
+        a2.dot(w, out=k)
+        np.subtract(b2, k, out=k)
+        # k3, once 2 k2 is in the sum
+        np.multiply(k, half, out=w)
+        np.add(ell, w, out=w)
+        np.add(k, k, out=k)
+        np.add(k_sum, k, out=k_sum)
+        np.exp(w, out=e3)
+        np.multiply(x0_cols, e3, out=w)
+        a2.dot(w, out=k)
+        np.subtract(b2, k, out=k)
+        # k4, once 2 k3 is in the sum
+        np.multiply(k, full, out=w)
+        np.add(ell, w, out=w)
+        np.add(k, k, out=k)
+        np.add(k_sum, k, out=k_sum)
+        np.exp(w, out=e4)
+        np.multiply(x0_cols, e4, out=w)
+        a4.dot(w, out=k)
+        np.subtract(b4, k, out=k)
+        np.add(k_sum, k, out=k_sum)
         if tangent:
-            p1 = stage_tangent(a1, ell, d_ell)
-            p2 = stage_tangent(a2, ell + half * k1, d_ell - half * p1)
-            p3 = stage_tangent(a2, ell + half * k2, d_ell - half * p2)
-            p4 = stage_tangent(a4, ell + h * k3, d_ell - h * p3)
-            d_ell = d_ell - sixth * (p1 + p4 + 2.0 * (p2 + p3))
-        ell = ell + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # p1 + p4 is summed in p1 and p2 + p3 in p23
+            tangent_stage(a1, e1, p1)
+            tangent_stage(a2, e2, p23, p1, half)
+            tangent_stage(a2, e3, p, p23, half)
+            np.add(p23, p, out=p23)
+            tangent_stage(a4, e4, p, p, full)
+            np.add(p1, p, out=p1)
+            np.add(p23, p23, out=p23)
+            np.add(p1, p23, out=p1)
+            np.multiply(p1, sixth, out=p1)
+            np.subtract(d_ell, p1, out=d_ell)
+        np.multiply(k_sum, sixth, out=k_sum)
+        np.add(ell, k_sum, out=ell)
         if check_each_step and not np.all(np.isfinite(ell)):
-            t = t0 + k * h + h
+            t = t0 + step * h + h
             raise IntegrationError(f"integration lost finiteness at t = {t:.6f}", time=t)
         if record:
-            path[k + 1] = ell
+            path[step + 1] = ell
     # l only ever has an increment added, and a sum with a non-finite term is
     # never finite, so a coordinate that lost finiteness in some step is still
     # non-finite here; the re-run checks every step and raises at the first

@@ -3,7 +3,8 @@
 Each ``reference_*`` function below is the earlier per-point implementation,
 kept here as the oracle.  Closed-form models and C4's axis iterations use
 the same arithmetic in both forms and must agree exactly.  The period map's
-Jacobian is the exact derivative of its RK4 step; it is compared with a
+Jacobian is the exact derivative of its RK4 step: it must equal that of a
+plain reference tangent loop bit for bit, and it is compared with a
 per-coordinate central difference, and the criteria built on it with their
 per-point loops, to 1e-9 relative, the error of a 1e-6 difference step.  The
 Newton solve for q is compared with the axis iteration to 1e-12 relative.
@@ -785,7 +786,34 @@ def test_period_map_growth_matches_per_stage_rk4(steps):
             assert np.array_equal(model.growth(row), reference), (n, K, row)
 
 
-# the grid of the per-stage test above: n = 1..6, K = 0, 1, 3, 1 to 5,000 rows
+@np.errstate(over="ignore", invalid="ignore")
+def reference_tangent(table, x0):
+    """l and D = dl/dx0 of the RK4 map over a stage table, by the plain
+    species-major loop that forms every stage afresh: its argument, its exp,
+    the increment and the tangent stage A (exp(l) (x0 D_j + e_j)) of every
+    column j, all columns as one stacked product."""
+    t0, h, b, a = table
+    half, sixth = 0.5 * h, h / 6.0
+    x0_cols = np.atleast_2d(x0).T.copy()
+    n, N = x0_cols.shape
+    ell, d_ell, eye = np.zeros((n, N)), np.zeros((n, n, N)), np.eye(n)[:, :, None]
+
+    def stage(b_t, a_t, ell_t, d_t):
+        e = np.exp(ell_t)
+        return b_t - a_t @ (x0_cols * e), a_t @ ((x0_cols * d_t + eye) * e)
+
+    for b1, b2, b4, a1, a2, a4 in zip(*b, *a):
+        k1, p1 = stage(b1, a1, ell, d_ell)
+        k2, p2 = stage(b2, a2, ell + half * k1, d_ell - half * p1)
+        k3, p3 = stage(b2, a2, ell + half * k2, d_ell - half * p2)
+        k4, p4 = stage(b4, a4, ell + h * k3, d_ell - h * p3)
+        ell = ell + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        d_ell = d_ell - sixth * (p1 + p4 + 2.0 * (p2 + p3))
+    return ell.T.reshape(x0.shape), d_ell.transpose(2, 1, 0).reshape(x0.shape + (n,))
+
+
+# the grid of the per-stage test above: n = 1..6, K = 0, 1, 3, 1 to 5,000 rows;
+# G' of the tangent pass is also pinned bit for bit to the reference loop
 @pytest.mark.parametrize("steps", [64, 100])
 def test_tangent_pass_growth_matches_growth(steps):
     config = IntegrationConfig(steps)
@@ -798,6 +826,8 @@ def test_tangent_pass_growth_matches_growth(steps):
             g, gp = model.growth_and_jacobian(x)
             assert np.array_equal(g, model.growth(x)), (n, K, x.shape)
             assert gp.shape == x.shape + (n,) and np.all(np.isfinite(gp))
+            ell, d_ell = reference_tangent(model._table, x)
+            assert np.array_equal(gp, np.exp(ell)[..., :, None] * d_ell), (n, K, x.shape)
 
 
 def test_integrate_matches_per_stage_rk4_off_the_period_grid():

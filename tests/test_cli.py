@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carrysim.cli import main
+from carrysim.cli import MAX_BATCH_ENTRIES, main
+from carrysim.modelio import LoadedModel
 from carrysim.periodic import PoincareMapModel
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -114,6 +115,59 @@ def test_oversized_integration_span_is_a_usage_error_before_any_table(
     assert err.count("\n") == 1
     assert "at most 1048576 RK4 steps" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture
+def overshoot_without_map(tmp_path, monkeypatch):
+    """The three-species overshoot model as a file, with building its map an
+    error: a flag checked before any array is built never gets that far."""
+
+    def no_map(*args):
+        raise AssertionError("a map model was built")
+
+    monkeypatch.setattr(LoadedModel, "map_model", no_map)
+    path = tmp_path / "overshoot.json"
+    path.write_text(json.dumps(OVERSHOOT))
+    return path
+
+
+# three species: a batch of at most MAX_BATCH_ENTRIES // 9 = 7,456,540 rows
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--grid", "196"],  # 196^3 = 7,529,536 grid points
+        ["check", "--grid", "5000"],
+        ["check", "--samples", "7456541"],
+        ["check", "--samples", "100000000000"],
+        ["simplex", "--force", "--grid", "2730"],  # 2731^2 lattice rows
+        ["simplex", "--force", "--grid", "100000"],
+        ["simplex", "--grid", "196"],  # the criteria pre-check's grid
+    ],
+)
+def test_oversized_grid_or_samples_is_a_usage_error_before_any_array(
+    argv, overshoot_without_map, tmp_path, capsys
+):
+    assert MAX_BATCH_ENTRIES // 9 == 7_456_540
+    path = overshoot_without_map
+    out = tmp_path / "out"
+    assert main([argv[0], "--model", str(path), *argv[1:], "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-2]}: asks for a batch of ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--grid", "195"],  # 195^3 = 7,414,875 grid points
+        ["check", "--samples", "7456540"],
+        ["simplex", "--force", "--grid", "2729"],  # 2730^2 lattice rows
+    ],
+)
+def test_grid_and_samples_at_the_batch_bound_are_accepted(argv, overshoot_without_map):
+    with pytest.raises(AssertionError, match="a map model was built"):
+        main([argv[0], "--model", str(overshoot_without_map), *argv[1:]])
 
 
 def test_simplex_exits_1_when_the_surface_is_not_unordered(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,11 @@ from carrysim.criteria import (
     run_criteria,
     spectral_radius,
 )
+from carrysim.modelio import load_model_file
 from carrysim.models import LeslieGowerModel, MayOsterModel, NeuralNetModel
+from carrysim.periodic import IntegrationConfig
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def eig_radius(M):
@@ -381,6 +387,19 @@ class TestFullReport:
             assert conditions[cond_id].note.startswith("competition matrix undefined")
         assert conditions["InvPos"].seed == 7
         assert conditions["Eq4"].seed is None
+
+
+def test_eq3_and_eq4_share_one_evaluation_of_the_grid(monkeypatch):
+    # for the period map each evaluation of M on the grid is a tangent pass
+    model = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
+    seen = []
+    joint = model.growth_and_jacobian
+    monkeypatch.setattr(model, "growth_and_jacobian", lambda x: seen.append(x) or joint(x))
+    conditions = by_id(run_criteria(model, grid_resolution=8, samples=200, seed=1))
+    grid = criteria._grid_points(model.verified_axial_fixed_points(), 8)
+    assert sum(np.array_equal(x, grid) for x in seen) == 1
+    assert conditions["Eq4"].samples == 64 + 81
+    assert conditions["Eq3a"].samples == conditions["Eq3b"].samples == 64
 
 
 def supports(points):
