@@ -19,8 +19,9 @@ Once the model's n is known, and before any array is built, a usage error
 also refuses a flag whose largest batch, at n x n floats per row, would hold
 more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
 ``--grid m`` (``check`` and the ``simplex`` pre-check), a surface lattice of
-(m + 1)^(n - 1) rows for ``simplex --grid m``, and one row per sample for
-``--samples``.
+(m + 1)^(n - 1) rows for ``simplex --grid m``, one row per sample for
+``--samples``, and for ``sweep1d`` the min(record, steps) x b-count orbit
+values it keeps (n = 1).
 """
 
 from __future__ import annotations
@@ -115,20 +116,24 @@ def _check_span(config: IntegrationConfig, periods: float, flag: str) -> None:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _check_batch(flag: str, rows: int, n: int) -> None:
+def _check_batch(flag: str, rows: int, n: int, default: int | None = None) -> None:
     """Refuse, before any array is built, a flag value that asks for a batch
-    of ``rows`` states whose Jacobians exceed ``MAX_BATCH_ENTRIES`` floats."""
+    of ``rows`` states whose Jacobians exceed ``MAX_BATCH_ENTRIES`` floats;
+    ``default`` is the value taken for a flag that was not given."""
     if rows * n * n > MAX_BATCH_ENTRIES:
+        given = "" if default is None else f"not given, so the default {default} "
         raise UsageError(
-            f"{flag}: asks for a batch of {rows} points; at most "
+            f"{flag}: {given}asks for a batch of {rows} points; at most "
             f"{MAX_BATCH_ENTRIES // (n * n)} for {n} species"
+            + ("" if default is None else f"; a smaller {flag} is accepted")
         )
 
 
 def _check_criteria_batches(args, n: int) -> None:
     """The criteria evaluate M on a grid of m^n points, and C5's Jacobian at
     one point per sample."""
-    _check_batch("--grid", (args.grid or CRITERIA_GRID) ** n, n)
+    default = None if args.grid else CRITERIA_GRID
+    _check_batch("--grid", (args.grid or CRITERIA_GRID) ** n, n, default)
     _check_batch("--samples", args.samples, n)
 
 
@@ -379,6 +384,8 @@ def _orbit(model, x: np.ndarray, steps: int):
 def cmd_sweep1d(args) -> int:
     if args.b_max < args.b_min:
         raise UsageError("--b-max must be >= --b-min")
+    keep = min(args.record, args.steps)  # the orbit tail kept per b
+    _check_batch("min(--record, --steps) x --b-count", keep * args.b_count, 1)
     results = sweep_1d(
         args.a,
         args.b_min,
@@ -389,11 +396,9 @@ def cmd_sweep1d(args) -> int:
     )
     out = args.out or "sweep.csv"
     write_sweep_csv(results, out)
-    counts: dict[str, int] = {}
-    for res in results:
-        counts[res.classification] = counts.get(res.classification, 0) + 1
-    for name in sorted(counts):
-        print(f"{name}: {counts[name]}")
+    classes = [res.classification for res in results]
+    for name in sorted(set(classes)):
+        print(f"{name}: {classes.count(name)}")
     print(f"sweep written to {out}")
     return EXIT_OK
 

@@ -272,11 +272,10 @@ def _rebuild_1d(
     return np.interp(targets, s_img, rho)
 
 
-# Each image triangle is listed in every cell that its bounding box, grown by
-# this much, meets: enough for a triangle whose weights round to >= 0 at a
-# node to be listed in the node's cell.
-_BOX_EPS = 1e-9
-_PAIR_CHUNK = 1 << 14  # (node, triangle) pairs per block of the full search
+# tau: the smallest barycentric weight that covers a node.  By the lemma in
+# _rebuild a triangle's box grows by 2 tau, twice that for rounding.
+_TAU = 1e-9
+_BOX_EPS = 4 * _TAU
 
 
 def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -285,15 +284,17 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray
     Each boundary chain is a one-dimensional subproblem on its own nodes.
     A node on no chain (an interior node of an n = 3 grid) interpolates
     ``rho`` in the image triangle whose smallest barycentric weight at the
-    node is largest, the lowest index winning a tie.  The search is by
-    cells: each image triangle is listed in the 1/m cells its grown bounding
-    box meets, and a node is tested against the list of its own cell.  Every
-    triangle that holds the node is on that list, so when one of them has
-    all weights >= 0 the pick is the one a search over all triangles makes.
-    A node with no such candidate (one on an edge shared by two images,
-    which rounding puts just outside both, as under the identity direction
-    map of a planar model) is searched against all triangles, in blocks of
-    nodes.
+    node is largest, the lowest index winning a tie; below -tau the node is
+    not covered.  It is searched in its own 1/m cell, which lists every
+    image triangle whose bounding box, grown by 4 tau, meets the cell.
+
+    Lemma: if a triangle's smallest weight at p is >= -tau, then in each
+    coordinate p lies within 2 tau w of its box, w <= 1 being the box's
+    width, since at most two weights are negative.  So p's cell lists the
+    winner of a search over all triangles, and picks it, ties included.  This
+    assumes the weights :func:`_barycentric` rounds are within tau of the
+    exact ones (the error is about 1e-15 / det, det = 1/m^2 on the grid), so
+    that one rounded to >= -tau is >= -2 tau, hence the margin of 4 tau.
     """
     m = grid.m
     new_radii = np.empty(len(grid))
@@ -309,9 +310,8 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray
         return new_radii
     tris = grid.triangles
     a, b, c = dirs[tris, :2].transpose(1, 0, 2)
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
+    ab, ac = b - a, c - a
+    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
     if np.any(det <= 0.0):
         raise SurfaceDegeneracyError(
             f"direction map not injective at resolution {m}; refine grid"
@@ -319,13 +319,7 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray
 
     targets = grid.nodes[interior][:, :2]
     best, best_min = _best_in_cells(targets, a, b, c, det, m)
-    missed = np.flatnonzero(best_min < 0.0)
-    step = max(1, _PAIR_CHUNK // det.size)
-    for s in range(0, missed.size, step):
-        block = missed[s : s + step]
-        # with one cell, every triangle is a candidate
-        best[block], best_min[block] = _best_in_cells(targets[block], a, b, c, det, 1)
-    if np.any(best_min < -1e-9):
+    if np.any(best_min < -_TAU):
         raise SurfaceDegeneracyError(
             f"image triangulation does not cover the grid at resolution {m}; "
             "refine grid"

@@ -633,22 +633,25 @@ def test_lattice_index_and_triangles_match_reference(m):
     ids=["overshoot-8", "overshoot-16", "coupled-24", "planar-24"],
 )
 def test_surface_matches_the_triangle_loop(model, m, monkeypatch):
-    searched = []
+    outside = []
     best_in_cells = simplex._best_in_cells
 
-    def counting(targets, a, b, c, det, k):
-        if k == 1:  # the search over all triangles
-            searched.append(targets.shape[0])
-        return best_in_cells(targets, a, b, c, det, k)
+    def recording(*args):
+        best, best_min = best_in_cells(*args)
+        outside.append(int(np.count_nonzero(best_min < 0.0)))
+        return best, best_min
 
-    monkeypatch.setattr(simplex, "_best_in_cells", counting)
+    monkeypatch.setattr(simplex, "_best_in_cells", recording)
     fast = compute_carrying_simplex(model, m=m)
     reference = _surface_with(reference_rebuild_2d, model, m, monkeypatch)
     assert fast.iterations == reference.iterations
     assert fast.descent_violations == reference.descent_violations
     assert np.array_equal(fast.radii, reference.radii)
-    if model is PLANAR:  # the direction map is the identity: nodes sit on shared edges
-        assert sum(searched) > 0
+    if model is PLANAR:
+        # the direction map is the identity: rounding puts some nodes just
+        # outside every triangle of their cell, and the all-triangle loop
+        # must still pick the same one
+        assert sum(outside) > 0
 
 
 @pytest.mark.parametrize("m", [6, 16, 31])
@@ -682,6 +685,65 @@ def test_rebuild_errors_match_the_triangle_loop():
         fast = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
         assert fast == _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
         assert message in fast
+
+
+def _random_triangles(rng, count, snap):
+    """``count`` positively oriented triangles in the unit simplex, (x, y) of
+    each corner: general ones, wide ones with corners near the simplex's, and
+    thin ones.  About half the corners are moved down onto the 1/snap
+    lattice, and half of those then up by less than tau.  Triangles whose
+    doubled area det is below 1e-5 are dropped."""
+    general = rng.dirichlet(np.ones(3), size=(count, 3))
+    wide = rng.dirichlet(np.full(3, 0.2), size=(count, 3))
+    a, b, d = rng.dirichlet(np.ones(3), size=(3, count))
+    s = rng.random((count, 1))
+    thin = np.stack([a, b, (1.0 - s - 1e-3) * a + s * b + 1e-3 * d], axis=1)
+    corners = np.concatenate([general, wide, thin])[..., :2]
+    moved = rng.random(corners.shape[:2]) < 0.5
+    lift = simplex._TAU * rng.random(corners.shape) * (rng.random(corners.shape) < 0.5)
+    corners[moved] = np.floor(corners[moved] * snap) / snap + lift[moved]
+    a, b, c = corners.transpose(1, 0, 2)
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    corners[det < 0.0] = corners[det < 0.0][:, [0, 2, 1]]
+    det = np.abs(det)
+    return corners[det > 1e-5], det[det > 1e-5]
+
+
+@pytest.mark.parametrize("k", [4, 12, 48])
+def test_cell_search_holds_every_triangle_the_full_search_accepts(k):
+    """The lemma of simplex._rebuild, on triangles that need not tile: where
+    the largest smallest weight over all triangles is >= -tau, the list of
+    the point's 1/k cell holds the first triangle that reaches it."""
+    rng = np.random.default_rng(k)
+    outside = widths = 0.0
+    for _ in range(40):
+        corners, det = _random_triangles(rng, 3, snap=12)
+        a, b, c = corners.transpose(1, 0, 2)
+        # the corners, points on the edges, each also nudged by up to about
+        # 1e-8, points beyond a corner with weights (1 + 2 s, -s, -s) for s
+        # up to tau, the lemma's extreme case, and random points
+        s = rng.random((corners.shape[0], 3, 1))
+        near = np.concatenate([corners, s * corners + (1 - s) * np.roll(corners, 1, axis=1)])
+        near = near.reshape(-1, 2)
+        scale = 10.0 ** rng.uniform(-13, -8, (near.shape[0], 1))
+        nudged = near + scale * rng.standard_normal(near.shape)
+        s = simplex._TAU * (0.9 + 0.1 * s)
+        beyond = (1 + 2 * s) * corners - s * (np.roll(corners, 1, 1) + np.roll(corners, 2, 1))
+        random = rng.dirichlet(np.ones(3), size=20)[:, :2]
+        points = np.concatenate([near, nudged, beyond.reshape(-1, 2), random])
+
+        p, t = np.indices((points.shape[0], det.size)).reshape(2, -1)
+        w = simplex._barycentric(points[p], a[t], b[t], c[t], det[t])
+        w_min = np.minimum(w[0], np.minimum(w[1], w[2])).reshape(points.shape[0], det.size)
+        winner = np.argmax(w_min, axis=1)  # the first on ties
+        top = w_min[np.arange(points.shape[0]), winner]
+        accepted = top >= -simplex._TAU
+        best, best_min = simplex._best_in_cells(points, a, b, c, det, k)
+        assert np.array_equal(best[accepted], winner[accepted])
+        assert np.array_equal(best_min[accepted], top[accepted])
+        outside += np.count_nonzero(accepted & (top < 0.0))
+        widths = max(widths, np.ptp(corners, axis=1).max())
+    assert outside > 100 and widths > 0.5
 
 
 @pytest.mark.parametrize("m", [2, 5, 24])

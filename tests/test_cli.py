@@ -118,14 +118,19 @@ def test_oversized_integration_span_is_a_usage_error_before_any_table(
 
 
 @pytest.fixture
-def overshoot_without_map(tmp_path, monkeypatch):
-    """The three-species overshoot model as a file, with building its map an
-    error: a flag checked before any array is built never gets that far."""
+def no_map_model(monkeypatch):
+    """Building a model's map is an error: a flag checked before any array is
+    built never gets that far."""
 
     def no_map(*args):
         raise AssertionError("a map model was built")
 
     monkeypatch.setattr(LoadedModel, "map_model", no_map)
+
+
+@pytest.fixture
+def overshoot_without_map(tmp_path, no_map_model):
+    """The three-species overshoot model as a file, with building its map an error."""
     path = tmp_path / "overshoot.json"
     path.write_text(json.dumps(OVERSHOOT))
     return path
@@ -168,6 +173,59 @@ def test_oversized_grid_or_samples_is_a_usage_error_before_any_array(
 def test_grid_and_samples_at_the_batch_bound_are_accepted(argv, overshoot_without_map):
     with pytest.raises(AssertionError, match="a map model was built"):
         main([argv[0], "--model", str(overshoot_without_map), *argv[1:]])
+
+
+def test_a_refused_default_grid_is_named_as_the_default(tmp_path, capsys, no_map_model):
+    path = tmp_path / "may6.json"
+    A = (0.05 + 0.95 * np.eye(6)).tolist()
+    path.write_text(json.dumps({"type": "may_oster", "n": 6, "B": [0.4] * 6, "A": A}))
+    for command in ("check", "simplex"):
+        assert main([command, "--model", str(path), "--out", str(tmp_path / "out")]) == 64
+        assert capsys.readouterr().err == (
+            "error: --grid: not given, so the default 16 asks for a batch of 16777216 "
+            "points; at most 1864135 for 6 species; a smaller --grid is accepted\n"
+        )
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(AssertionError, match="a map model was built"):
+        main(["check", "--model", str(path), "--grid", "11"])  # 11^6 = 1,771,561 points
+
+
+SWEEP = ["sweep1d", "--b-min", "1", "--b-max", "2"]
+
+
+# one value per b and kept step: at most MAX_BATCH_ENTRIES = 67,108,864
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--b-count", "524289"],  # times the default --record 128
+        ["--b-count", "100000000000"],
+        ["--b-count", "67108865", "--record", "1"],
+        ["--b-count", "1000", "--record", "100000000000", "--steps", "100000000000"],
+    ],
+)
+def test_oversized_sweep_is_a_usage_error_before_any_array(argv, tmp_path, capsys):
+    assert main([*SWEEP, *argv, "--out", str(tmp_path / "sweep.csv")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: min(--record, --steps) x --b-count: asks for a batch of ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--b-count", "524288"],
+        ["--b-count", "67108864", "--record", "1"],
+        ["--b-count", "67108864", "--record", "100000000000", "--steps", "1"],
+    ],
+)
+def test_sweep_at_the_batch_bound_is_accepted(argv, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep_1d was called")
+
+    monkeypatch.setattr("carrysim.cli.sweep_1d", no_sweep)
+    with pytest.raises(AssertionError, match="sweep_1d was called"):
+        main([*SWEEP, *argv])
 
 
 def test_simplex_exits_1_when_the_surface_is_not_unordered(tmp_path, capsys):
