@@ -21,7 +21,7 @@ more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
 ``--grid m`` (``check`` and the ``simplex`` pre-check), a surface lattice of
 (m + 1)^(n - 1) rows for ``simplex --grid m``, one row per sample for
 ``--samples``, and for ``sweep1d`` the min(record, steps) x b-count orbit
-values it keeps (n = 1).
+values it keeps (n = 1); the sweep's peak memory is a fixed multiple of those.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ from .periodic import (
 )
 from .simplex import (
     CLOUD_STEPS,
+    SWEEP_CLASSES,
     SurfaceDegeneracyError,
     compute_attractor_cloud,
     compute_carrying_simplex,
     sweep_1d,
     unordered_check,
     verify_surface,
-    write_cloud_csv,
     write_csv,
     write_surface_csv,
     write_sweep_csv,
@@ -327,7 +327,7 @@ def cmd_simplex(args) -> int:
 
     cloud = compute_attractor_cloud(model, n_points=args.samples, seed=args.seed)
     unordered = unordered_check(cloud)
-    write_cloud_csv(cloud, out)
+    write_csv(out, [f"x_{i + 1}" for i in range(n)], cloud)
     meta = {
         "mode": "point_cloud",
         "points": int(cloud.shape[0]),
@@ -386,7 +386,7 @@ def cmd_sweep1d(args) -> int:
         raise UsageError("--b-max must be >= --b-min")
     keep = min(args.record, args.steps)  # the orbit tail kept per b
     _check_batch("min(--record, --steps) x --b-count", keep * args.b_count, 1)
-    results = sweep_1d(
+    sweep = sweep_1d(
         args.a,
         args.b_min,
         args.b_max,
@@ -395,10 +395,10 @@ def cmd_sweep1d(args) -> int:
         b_count=args.b_count,
     )
     out = args.out or "sweep.csv"
-    write_sweep_csv(results, out)
-    classes = [res.classification for res in results]
-    for name in sorted(set(classes)):
-        print(f"{name}: {classes.count(name)}")
+    write_sweep_csv(sweep, out)
+    for name, count in zip(SWEEP_CLASSES, np.bincount(sweep.code)):
+        if count:
+            print(f"{name}: {count}")
     print(f"sweep written to {out}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ Higher dimensions fall back to a point cloud without surface reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -647,13 +647,16 @@ def compute_attractor_cloud(
 
 SWEEP_TOL = 1e-8  # fixed-point and period-match tolerance of the scalar sweep
 SWEEP_MAX_PERIOD = 64
+SWEEP_CLASSES = ("converges", "divergent", "non-convergent", "periodic")  # by code, sorted
 
 
-@dataclass
-class SweepPoint:
-    b: float
-    classification: str  # converges | periodic | non-convergent | divergent
-    points: np.ndarray = field(default_factory=lambda: np.empty(0))
+@dataclass(frozen=True)
+class Sweep:
+    a: float
+    b: np.ndarray  # (b_count,)
+    code: np.ndarray  # (b_count,) int8, indexing SWEEP_CLASSES
+    period: np.ndarray  # (b_count,) 0 where none was found
+    tail: np.ndarray  # (min(record, steps), b_count)
 
 
 def sweep_1d(
@@ -663,23 +666,26 @@ def sweep_1d(
     steps: int = 1_000,
     record: int = 128,
     b_count: int = 100,
-) -> list[SweepPoint]:
+) -> Sweep:
     """Classify the scalar map x -> x exp(b - a x) across a range of b.
 
-    Each b iterates from x0 = 0.1 b/a for ``steps`` total iterations and
-    keeps the last ``record`` values: "converges" when the final iterate is
-    within ``SWEEP_TOL`` of b/a, "periodic" when the tail revisits itself to
-    that tolerance with period <= ``SWEEP_MAX_PERIOD``, otherwise
-    "non-convergent" (no carrying-simplex claim is made for parameters
-    between the known thresholds).
+    Each of the ``b_count`` values of b iterates from x0 = 0.1 b/a for
+    ``steps`` iterations and keeps its last ``record`` values in ``tail``.
+    Its ``code`` is 0, "converges", when the last iterate is within
+    ``SWEEP_TOL`` of b/a, else 1, "divergent", when the tail is not finite,
+    else 3, "periodic", when it revisits itself to that tolerance with a
+    ``period`` <= ``SWEEP_MAX_PERIOD``, else 2, "non-convergent" (no
+    carrying-simplex claim is made between the known thresholds).
     """
     if a <= 0.0:
         raise ValueError("a must be > 0")
     if not (0.0 < b_min <= b_max):
         raise ValueError("need 0 < b_min <= b_max")
+    if min(steps, record, b_count) < 1:
+        raise ValueError("steps, record and b_count must be >= 1")
     keep = min(record, steps)
 
-    bs = np.linspace(b_min, b_max, b_count) if b_count > 1 else np.array([b_min])
+    bs = np.linspace(b_min, b_max, b_count)
     x = 0.1 * bs / a
     tail = np.empty((keep, bs.size))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -688,31 +694,26 @@ def sweep_1d(
             if k >= steps - keep:
                 tail[k - (steps - keep)] = x
 
-    out = []
-    for col, b in enumerate(bs):
-        orbit = tail[:, col]
-        q = b / a
-        if not np.all(np.isfinite(orbit)):
-            out.append(SweepPoint(float(b), "divergent"))
-            continue
-        if abs(orbit[-1] - q) < SWEEP_TOL:
-            out.append(SweepPoint(float(b), "converges", np.array([q])))
-            continue
-        period = _detect_period(orbit)
-        if period:
-            out.append(SweepPoint(float(b), "periodic", orbit[-period:].copy()))
-        else:
-            out.append(SweepPoint(float(b), "non-convergent", orbit.copy()))
-    return out
+    # inf -> inf * e^-inf = nan -> nan: a tail not finite somewhere is not at its end
+    finite = np.isfinite(tail[-1])
+    converges = np.abs(tail[-1] - bs / a) < SWEEP_TOL  # false where not finite
+    period = _detect_period(tail, np.flatnonzero(finite & ~converges))
+    code = np.select([converges, ~finite, period == 0], [0, 1, 2], 3).astype(np.int8)
+    return Sweep(a, bs, code, period, tail)
 
 
-def _detect_period(orbit: np.ndarray) -> int:
-    for p in range(2, min(SWEEP_MAX_PERIOD, orbit.size - 1) + 1):
-        if abs(orbit[-1] - orbit[-1 - p]) < SWEEP_TOL:
-            lag = orbit.size - p
-            if np.max(np.abs(orbit[p:] - orbit[:-p])[-min(lag, p):]) < SWEEP_TOL:
-                return p
-    return 0
+def _detect_period(tail: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Per column, the smallest p in 2..min(SWEEP_MAX_PERIOD, keep - 1) whose
+    last min(keep - p, p) lags match to ``SWEEP_TOL``; 0 outside ``left`` or if none."""
+    keep = tail.shape[0]
+    period = np.zeros(tail.shape[1], dtype=np.int64)
+    for p in range(2, min(SWEEP_MAX_PERIOD, keep - 1) + 1):
+        hit = left
+        for i in range(keep - 1, keep - 1 - min(keep - p, p), -1):
+            hit = hit[np.abs(tail[i, hit] - tail[i - p, hit]) < SWEEP_TOL]
+        period[hit] = p
+        left = left[period[left] == 0]
+    return period
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +736,12 @@ def write_surface_csv(surface: RadialSurface, path) -> None:
     write_csv(path, header, np.column_stack([surface.grid.nodes, surface.radii, surface.points()]))
 
 
-def write_cloud_csv(points: np.ndarray, path) -> None:
-    write_csv(path, [f"x_{i + 1}" for i in range(points.shape[1])], points)
-
-
-def write_sweep_csv(results: list[SweepPoint], path) -> None:
-    write_csv(
-        path,
-        ["b", "class", "attractor_points"],
-        ([res.b, res.classification, *np.atleast_1d(res.points)] for res in results),
+def write_sweep_csv(sweep: Sweep, path) -> None:
+    """One row per b: b, its class and the attractor points of the class, in
+    code order b/a, none, the whole tail and its last ``period`` values."""
+    a, tail = sweep.a, sweep.tail
+    rows = (
+        [b, SWEEP_CLASSES[c], *([b / a], [], tail[:, k], tail[len(tail) - p :, k])[c]]
+        for k, (b, c, p) in enumerate(zip(sweep.b, sweep.code, sweep.period))
     )
+    write_csv(path, ["b", "class", "attractor_points"], rows)

@@ -1014,3 +1014,72 @@ def test_asymptotic_check_matches_the_fixed_length_loop(name, request, monkeypat
     assert np.array_equal(stats.gaps_half, reference.gaps_half)
     assert np.array_equal(stats.gaps_end, reference.gaps_end)
     assert (stats.escaped > 0) == (name == "escaping")
+
+
+# ---------------------------------------------------------------------------
+# the scalar sweep: the columns against the per-b classifier
+# ---------------------------------------------------------------------------
+
+
+def reference_detect_period(orbit):
+    for p in range(2, min(simplex.SWEEP_MAX_PERIOD, orbit.size - 1) + 1):
+        if abs(orbit[-1] - orbit[-1 - p]) < simplex.SWEEP_TOL:
+            lag = orbit.size - p
+            if np.max(np.abs(orbit[p:] - orbit[:-p])[-min(lag, p):]) < simplex.SWEEP_TOL:
+                return p
+    return 0
+
+
+def reference_sweep_rows(a, b_min, b_max, steps=1_000, record=128, b_count=100):
+    """The CSV rows of the sweep that classified one b at a time."""
+    keep = min(record, steps)
+    bs = np.linspace(b_min, b_max, b_count) if b_count > 1 else np.array([b_min])
+    x = 0.1 * bs / a
+    tail = np.empty((keep, bs.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = x * np.exp(bs - a * x)
+            if k >= steps - keep:
+                tail[k - (steps - keep)] = x
+    rows = []
+    for col, b in enumerate(bs):
+        orbit = tail[:, col]
+        q = b / a
+        if not np.all(np.isfinite(orbit)):
+            rows.append([float(b), "divergent"])
+        elif abs(orbit[-1] - q) < simplex.SWEEP_TOL:
+            rows.append([float(b), "converges", q])
+        else:
+            period = reference_detect_period(orbit)
+            if period:
+                rows.append([float(b), "periodic", *orbit[-period:]])
+            else:
+                rows.append([float(b), "non-convergent", *orbit])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "a, b_min, b_max, kwargs, classes, longest",
+    [
+        (1.0, 0.5, 3.5, dict(b_count=2_000), 3, 32),
+        (1.0, 1.0, 900.0, dict(b_count=3_000), 4, 2),  # 635 of them divergent
+        (1.0, 1.5, 4.5, dict(steps=2_000, b_count=5_000), 3, 64),
+        (0.3, 2.0, 3.9, dict(record=300, steps=3_000, b_count=2_000), 2, 60),
+        (1.0, 0.5, 3.5, dict(record=1, b_count=2_000), 2, 0),
+        (1.0, 0.5, 3.5, dict(record=2, b_count=2_000), 2, 0),
+        (1.0, 0.5, 3.5, dict(record=3, b_count=2_000), 3, 2),
+        (1.0, 2.5, 2.5, dict(b_count=1), 1, 2),
+    ],
+    ids=["ricker", "divergent", "period64", "a0.3_keep300", "keep1", "keep2", "keep3", "one_b"],
+)
+def test_sweep_csv_matches_the_per_b_classifier(
+    a, b_min, b_max, kwargs, classes, longest, tmp_path
+):
+    sweep = simplex.sweep_1d(a, b_min, b_max, **kwargs)
+    assert np.unique(sweep.code).size == classes  # the classes the range reaches ...
+    assert sweep.period.max() == longest  # ... and its longest period
+    columns, reference = tmp_path / "columns.csv", tmp_path / "reference.csv"
+    simplex.write_sweep_csv(sweep, columns)
+    rows = reference_sweep_rows(a, b_min, b_max, **kwargs)
+    simplex.write_csv(reference, ["b", "class", "attractor_points"], rows)
+    assert columns.read_bytes() == reference.read_bytes()

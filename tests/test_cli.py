@@ -228,6 +228,25 @@ def test_sweep_at_the_batch_bound_is_accepted(argv, monkeypatch):
         main([*SWEEP, *argv])
 
 
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["--b-min", "0.5", "--b-max", "3.5", "--b-count", "40"],
+         "converges: 20\nnon-convergent: 10\nperiodic: 10\n"),
+        (["--b-min", "0.5", "--b-max", "3.5", "--b-count", "40", "--record", "1"],
+         "converges: 20\nnon-convergent: 20\n"),
+        (["--b-min", "1", "--b-max", "900", "--b-count", "60"],
+         "converges: 1\ndivergent: 13\nperiodic: 46\n"),
+    ],
+)  # fmt: skip
+def test_sweep_prints_the_count_of_each_class_in_alphabetical_order(
+    argv, summary, tmp_path, capsys
+):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep1d", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{summary}sweep written to {out}\n"
+
+
 def test_simplex_exits_1_when_the_surface_is_not_unordered(tmp_path, capsys):
     path = tmp_path / "overshoot.json"
     path.write_text(json.dumps(OVERSHOOT))

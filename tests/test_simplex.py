@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from carrysim.models import LeslieGowerModel, MayOsterModel
 from carrysim.simplex import (
+    SWEEP_CLASSES,
     AsymptoticStats,
     RadialSurface,
     SurfaceVerification,
@@ -296,43 +298,64 @@ class TestPointCloud:
         assert np.all(cloud.sum(axis=1) > 0)
 
 
+def sweep_at(a, b, steps):
+    """The class of the one b swept and its sweep."""
+    sweep = sweep_1d(a, b, b, b_count=1, steps=steps)
+    return SWEEP_CLASSES[sweep.code[0]], sweep
+
+
 class TestSweep:
     def test_subcritical_converges(self):
-        (res,) = sweep_1d(1.0, 0.5, 0.5, b_count=1, steps=1000)
-        assert res.classification == "converges"
-        assert res.points[0] == pytest.approx(0.5, abs=1e-12)
+        name, sweep = sweep_at(1.0, 0.5, steps=1000)
+        assert name == "converges"
+        assert sweep.tail[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_locally_attracting_midrange(self):
-        (res,) = sweep_1d(1.0, 1.5, 1.5, b_count=1, steps=1000)
-        assert res.classification == "converges"
+        name, _ = sweep_at(1.0, 1.5, steps=1000)
+        assert name == "converges"
 
     def test_supercritical_two_cycle(self):
-        (res,) = sweep_1d(1.0, 2.5, 2.5, b_count=1, steps=1000)
-        assert res.classification == "periodic"
-        assert len(res.points) == 2
+        name, sweep = sweep_at(1.0, 2.5, steps=1000)
+        assert name == "periodic"
+        assert sweep.period[0] == 2
         # the 2-cycle of x e^{2.5 - x} maps onto itself
-        a, b = sorted(res.points)
+        a, b = sorted(sweep.tail[-2:, 0])
         assert a * np.exp(2.5 - a) == pytest.approx(b, rel=1e-6)
 
     def test_chaotic_range_does_not_converge(self):
-        (res,) = sweep_1d(1.0, 3.2, 3.2, b_count=1, steps=2000)
-        assert res.classification in ("periodic", "non-convergent")
-        assert res.classification != "converges"
+        name, _ = sweep_at(1.0, 3.2, steps=2000)
+        assert name in ("periodic", "non-convergent")
+        assert name != "converges"
 
     def test_scaling_in_a(self):
-        (res,) = sweep_1d(2.0, 0.8, 0.8, b_count=1, steps=1000)
-        assert res.classification == "converges"
-        assert res.points[0] == pytest.approx(0.4, abs=1e-12)
+        name, sweep = sweep_at(2.0, 0.8, steps=1000)
+        assert name == "converges"
+        assert sweep.tail[-1, 0] == pytest.approx(0.4, abs=1e-12)
 
     def test_grid_spacing(self):
-        results = sweep_1d(1.0, 0.5, 1.0, b_count=6, steps=400)
-        assert [round(r.b, 10) for r in results] == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        sweep = sweep_1d(1.0, 0.5, 1.0, b_count=6, steps=400)
+        assert [round(b, 10) for b in sweep.b] == [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sweep_1d(0.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             sweep_1d(1.0, -0.5, 1.0)
+        for bad in (dict(steps=0), dict(record=0), dict(b_count=0)):
+            with pytest.raises(ValueError):
+                sweep_1d(1.0, 0.5, 1.0, **bad)
+
+    @pytest.mark.parametrize("record", [1, 128])
+    def test_peak_memory_is_the_tail_and_a_few_floats_per_b(self, record):
+        b_count = 50_000
+        tracemalloc.start()
+        try:
+            sweep = sweep_1d(1.0, 0.5, 3.5, record=record, b_count=b_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.tail.nbytes == 8 * record * b_count
+        assert peak / b_count <= 8 * record + 200
 
 
 class TestOutputFiles:
@@ -346,9 +369,9 @@ class TestOutputFiles:
         assert np.allclose(data["x_1"], s.points()[:, 0], atol=0)
 
     def test_sweep_csv(self, tmp_path):
-        results = sweep_1d(1.0, 0.5, 2.5, b_count=3, steps=600)
+        sweep = sweep_1d(1.0, 0.5, 2.5, b_count=3, steps=600)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(results, path)
+        write_sweep_csv(sweep, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "b,class,attractor_points"
         assert len(lines) == 4
