@@ -100,16 +100,15 @@ def spectral_radius(M: np.ndarray) -> float:
     Raises ``ValueError`` for a matrix that is not square or has non-finite
     entries.
     """
-    return float(np.max(np.abs(np.linalg.eigvals(_check_square(M)))))
-
-
-def _check_square(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    return M
+    try:  # eigvals scans for non-finite entries itself
+        return float(np.abs(np.linalg.eigvals(M)).max())
+    except np.linalg.LinAlgError:
+        if not np.isfinite(M).all():
+            raise ValueError("matrix has non-finite entries") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +176,14 @@ def _support_groups(pts: np.ndarray):
 
     ``support`` holds the nonzero coordinates, ``rows`` the row indices that
     share them, so principal submatrices can be taken one stack per pattern.
+    Rows are keyed by their packed bits, in ``np.unique(pts != 0, axis=0)``'s order.
     """
-    patterns, inverse = np.unique(pts != 0.0, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    for k, pattern in enumerate(patterns):
-        support = np.flatnonzero(pattern)
+    nonzero = pts != 0.0
+    bits = np.packbits(nonzero, axis=1)
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    for k, row in enumerate(first):
+        support = np.flatnonzero(nonzero[row])
         if support.size:
             yield support, np.flatnonzero(inverse == k)
 

@@ -224,8 +224,9 @@ def compute_carrying_simplex(
     delta = np.inf
     iterations = 0
     converged = False
+    memo: dict = {}  # the interior nodes' candidate lists, see _best_in_cells
     for iteration in range(1, max_iter + 1):
-        new_radii = _sweep(model, grid, radii)
+        new_radii = _sweep(model, grid, radii, memo)
         delta = float(np.max(np.abs(new_radii - radii)))
         if iteration >= 2:
             descent_violations += int(np.count_nonzero(new_radii > radii + 1e-12))
@@ -248,7 +249,7 @@ def compute_carrying_simplex(
     )
 
 
-def _sweep(model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray) -> np.ndarray:
+def _sweep(model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray, memo) -> np.ndarray:
     """One graph-transform sweep: push forward, reproject, rebuild."""
     points = radii[:, None] * grid.nodes
     images = model.step(points)
@@ -258,7 +259,7 @@ def _sweep(model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray) -> np.
         raise SurfaceDegeneracyError(
             f"node {bad} mapped to the origin; surface cannot cross 0"
         )
-    return _rebuild(grid, images / rho[:, None], rho)
+    return _rebuild(grid, images / rho[:, None], rho, memo)
 
 
 def _rebuild_1d(
@@ -278,7 +279,7 @@ _TAU = 1e-9
 _BOX_EPS = 4 * _TAU
 
 
-def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray, memo=None) -> np.ndarray:
     """Rebuild the radii on the fixed grid from the pushed-forward nodes.
 
     Each boundary chain is a one-dimensional subproblem on its own nodes.
@@ -286,7 +287,9 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray
     ``rho`` in the image triangle whose smallest barycentric weight at the
     node is largest, the lowest index winning a tie; below -tau the node is
     not covered.  It is searched in its own 1/m cell, which lists every
-    image triangle whose bounding box, grown by 4 tau, meets the cell.
+    image triangle whose bounding box, grown by 4 tau, meets the cell.  A
+    ``memo`` kept over the sweeps of one grid reuses these lists while every
+    triangle's box meets the same cells.
 
     Lemma: if a triangle's smallest weight at p is >= -tau, then in each
     coordinate p lies within 2 tau w of its box, w <= 1 being the box's
@@ -309,7 +312,7 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray
     if interior.size == 0:
         return new_radii
     tris = grid.triangles
-    a, b, c = dirs[tris, :2].transpose(1, 0, 2)
+    a, b, c = dirs[tris.T, :2]
     ab, ac = b - a, c - a
     det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
     if np.any(det <= 0.0):
@@ -318,25 +321,25 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray
         )
 
     targets = grid.nodes[interior][:, :2]
-    best, best_min = _best_in_cells(targets, a, b, c, det, m)
+    best, best_min = _best_in_cells(targets, a, b, c, det, m, memo)
     if np.any(best_min < -_TAU):
         raise SurfaceDegeneracyError(
             f"image triangulation does not cover the grid at resolution {m}; "
             "refine grid"
         )
-    wa, wb, wc = _barycentric(targets, a[best], b[best], c[best], det[best])
+    wa, wb, wc = _barycentric(targets, a[best], ab[best], ac[best], det[best])
     t = tris[best]
     new_radii[interior] = wa * rho[t[:, 0]] + wb * rho[t[:, 1]] + wc * rho[t[:, 2]]
     return new_radii
 
 
-def _barycentric(p, a, b, c, det):
-    """Weights of the points ``p`` in the triangles (a, b, c) of doubled
-    signed area ``det``."""
+def _barycentric(p, a, ab, ac, det):
+    """Weights of the points ``p`` in the triangles (a, b, c) given by ``a``,
+    ``ab`` = b - a, ``ac`` = c - a and the doubled signed area ``det``."""
     rx = p[:, 0] - a[:, 0]
     ry = p[:, 1] - a[:, 1]
-    wb = (rx * (c[:, 1] - a[:, 1]) - ry * (c[:, 0] - a[:, 0])) / det
-    wc = ((b[:, 0] - a[:, 0]) * ry - (b[:, 1] - a[:, 1]) * rx) / det
+    wb = (rx * ac[:, 1] - ry * ac[:, 0]) / det
+    wc = (ab[:, 0] * ry - ab[:, 1] * rx) / det
     return 1.0 - wb - wc, wb, wc
 
 
@@ -353,25 +356,34 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, rank
 
 
-def _best_in_cells(targets, a, b, c, det, k: int):
+def _best_in_cells(targets, a, b, c, det, k: int, memo=None):
     """Per target, among the triangles listed in its 1/k cell, the one with the
     largest smallest weight (lowest index on ties) and that weight; -1 and
-    -inf where the cell lists none."""
+    -inf where the cell lists none.  The lists depend only on the cells
+    ``lo`` to ``hi`` that the boxes span, so a ``memo`` kept for one
+    (targets, k) reuses them while ``lo`` and ``hi`` repeat."""
     lo = _cells(np.minimum(a, np.minimum(b, c)) - _BOX_EPS, k)
     hi = _cells(np.maximum(a, np.maximum(b, c)) + _BOX_EPS, k)
-    span_y = hi % k - lo % k + 1
-    tri, r = _ragged((hi // k - lo // k + 1) * span_y)
-    cell = lo[tri] + (r // span_y[tri]) * k + r % span_y[tri]
-    by_cell = tri[np.argsort(cell, kind="stable")]  # ascending within a cell
-    per_cell = np.bincount(cell, minlength=k * k)
-    target_cell = _cells(targets, k)
-    p, r = _ragged(per_cell[target_cell])
-    t = by_cell[(np.cumsum(per_cell) - per_cell)[target_cell][p] + r]
-    wa, wb, wc = _barycentric(targets[p], a[t], b[t], c[t], det[t])
+    memo = {} if memo is None else memo
+    key = (lo.tobytes(), hi.tobytes())
+    if memo.get("key") != key:  # list the (target p, triangle t) pairs by p, then t
+        span_y = hi % k - lo % k + 1
+        tri, r = _ragged((hi // k - lo // k + 1) * span_y)
+        cell = lo[tri] + (r // span_y[tri]) * k + r % span_y[tri]
+        by_cell = tri[np.argsort(cell, kind="stable")]  # ascending within a cell
+        per_cell = np.bincount(cell, minlength=k * k)
+        target_cell = _cells(targets, k)
+        p, r = _ragged(per_cell[target_cell])
+        t = by_cell[(np.cumsum(per_cell) - per_cell)[target_cell][p] + r]
+        starts = np.flatnonzero(r == 0)  # each target's first pair
+        memo["key"], memo["pairs"] = key, (p, t, targets[p], starts, np.cumsum(r == 0) - 1)
+    p, t, tp, starts, group = memo["pairs"]
+    # a, b - a, c - a and det of every pair's triangle, in one gather
+    g = np.column_stack([a, b - a, c - a, det]).take(t, axis=0)
+    wa, wb, wc = _barycentric(tp, g[:, 0:2], g[:, 2:4], g[:, 4:6], g[:, 6])
     w_min = np.minimum(wa, np.minimum(wb, wc))
     # per target, the first of its pairs that reaches its largest w_min
-    group_max = np.maximum.reduceat(w_min, np.flatnonzero(r == 0))
-    top = np.flatnonzero(w_min == group_max[np.cumsum(r == 0) - 1])
+    top = np.flatnonzero(w_min == np.maximum.reduceat(w_min, starts)[group])
     first = top[np.diff(p[top], prepend=-1) > 0]
     best = np.full(targets.shape[0], -1)
     best_min = np.full(targets.shape[0], -np.inf)

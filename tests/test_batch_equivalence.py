@@ -11,14 +11,17 @@ Newton solve for q is compared with the axis iteration to 1e-12 relative.
 """
 
 import itertools
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from carrysim import criteria
 from carrysim.criteria import (
     ConditionResult,
     _grid_points,
+    _support_groups,
     check_axial,
     check_c5,
     check_inverse_positivity,
@@ -377,6 +380,34 @@ def test_c5_matches_reference(model):
     assert batched.note == (f"near-ties (> -1e-12): {near_ties}" if near_ties else "")
 
 
+def reference_support_groups(pts):
+    patterns, inverse = np.unique(pts != 0.0, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    for k, pattern in enumerate(patterns):
+        support = np.flatnonzero(pattern)
+        if support.size:
+            yield support, np.flatnonzero(inverse == k)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 70])
+@pytest.mark.parametrize("rows", [1, 40, 2000])
+def test_support_groups_match_the_row_sort(n, rows):
+    """Packed row keys give np.unique(axis=0)'s groups in its order, for n
+    below, at and past a byte boundary and past 64, with all-zero rows."""
+    rng = np.random.default_rng(100 * n + rows)
+    pts = rng.random((rows, n)) * (rng.random((rows, n)) < rng.random((rows, 1)))
+    pts[rng.random(rows) < 0.1] = 0.0
+    got = [(s.tolist(), r.tolist()) for s, r in _support_groups(pts)]
+    want = [(s.tolist(), r.tolist()) for s, r in reference_support_groups(pts)]
+    assert got == want
+    assert sum(len(r) for _, r in got) == np.count_nonzero(pts.any(axis=1))
+
+
+def test_support_groups_of_zero_rows_are_empty():
+    assert list(_support_groups(np.zeros((1, 9)))) == []
+    assert list(_support_groups(np.zeros((5, 3)))) == []
+
+
 SAMPLED_MODELS = [
     MayOsterModel([0.7], [[1.3]]),
     MayOsterModel([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]]),
@@ -461,6 +492,19 @@ def test_spectral_grid_on_closed_forms_matches_reference(name, request):
     assert batched.samples == reference.samples
     assert np.array_equal(batched.witness, reference.witness)
     assert batched.worst == pytest.approx(reference.worst, rel=1e-14)
+
+
+@pytest.mark.parametrize("model", ["COUPLED", "PLANAR"])
+def test_spectral_radius_is_the_plain_eigensolve_bit_for_bit(model, monkeypatch):
+    """Every radius Eq4 takes on the 16^3 grid and its 9^3 refinement is
+    max |eigvals(M)| as the unguarded expression computes it."""
+    matrices = []
+    radius = criteria.spectral_radius
+    monkeypatch.setattr(criteria, "spectral_radius", lambda M: matrices.append(M) or radius(M))
+    check_spectral_grid(globals()[model], grid_resolution=16)
+    assert len(matrices) == 16**3 + 9**3
+    for M in matrices:
+        assert radius(M) == float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def test_fd_jacobian_matches_per_coordinate_reference(periodic64):
@@ -607,8 +651,10 @@ def _rebuild_outcome(fn, grid, dirs, rho):
 
 
 def _surface_with(rebuild, model, m, monkeypatch):
+    """The surface of ``model`` at m with ``rebuild(grid, dirs, rho)`` in
+    place of simplex._rebuild, whose memo it ignores."""
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_rebuild", rebuild)
+        patch.setattr(simplex, "_rebuild", lambda grid, dirs, rho, memo: rebuild(grid, dirs, rho))
         return compute_carrying_simplex(model, m=m)
 
 
@@ -672,6 +718,69 @@ def test_rebuild_matches_the_triangle_loop_on_perturbed_maps(m, scale):
             assert np.array_equal(fast, reference)
 
 
+def test_rebuild_with_a_memo_matches_one_without():
+    """A memo kept over a run of direction maps gives the radii, or the
+    error, of a fresh search at every step.  The maps move every corner by
+    1e-13, which keeps the cells, by 0.2/m, which moves them, and by -5e-9 in
+    x, which changes upper cells (hi) only; some of them fold or shrink."""
+    m = 12
+    grid = SimplexGrid.build(3, m)
+    rng = np.random.default_rng(18)
+    interior = (grid.lattice > 0).all(axis=1)
+    left = grid.nodes.copy()
+    left[interior] += [-5e-9, 0.0, 5e-9]  # a corner's lo cell stays, its hi cell drops
+    idx = reference_lattice_index(grid)
+    folded = grid.nodes.copy()
+    folded[[idx[(3, 2, 7)], idx[(2, 3, 7)]]] = folded[[idx[(2, 3, 7)], idx[(3, 2, 7)]]]
+    centre = np.full(3, 1.0 / 3.0)
+
+    def perturbed(base, scale):
+        dirs = base + scale * rng.standard_normal(base.shape)
+        dirs[grid.lattice == 0] = 0.0
+        return np.abs(dirs) / np.abs(dirs).sum(axis=1, keepdims=True)
+
+    maps = [grid.nodes, left, grid.nodes, left, left]
+    base = perturbed(grid.nodes, 0.2 / m)
+    for _ in range(6):
+        maps += [base, perturbed(base, 1e-13), perturbed(base, 1e-13)]
+        base = perturbed(grid.nodes, 0.2 / m)
+    maps[8:8] = [folded, centre + 0.5 * (grid.nodes - centre), maps[7]]
+    memo = {}
+    reused = []
+    for dirs in maps:
+        rho = 1.0 + 0.1 * rng.random(len(grid))
+        pairs = memo.get("pairs")
+        kept = _rebuild_outcome(partial(simplex._rebuild, memo=memo), grid, dirs, rho)
+        reused.append(memo.get("pairs") is pairs)
+        fresh = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
+        if isinstance(fresh, str):
+            assert kept == fresh
+        else:
+            assert np.array_equal(kept, fresh)
+    outcomes = [_rebuild_outcome(simplex._rebuild, grid, d, np.ones(len(grid))) for d in maps]
+    assert sum(isinstance(o, str) for o in outcomes) >= 2
+    assert 10 <= sum(reused) <= len(maps) - 10
+
+
+def test_planar_surface_reuses_the_cell_lists(monkeypatch):
+    """The identity direction map keeps every triangle's cells from sweep to
+    sweep, so nearly every sweep reuses the lists of the first."""
+    reused = []
+    best_in_cells = simplex._best_in_cells
+
+    def recording(*args):
+        memo = args[-1]
+        pairs = memo.get("pairs")
+        result = best_in_cells(*args)
+        reused.append(memo["pairs"] is pairs)
+        return result
+
+    monkeypatch.setattr(simplex, "_best_in_cells", recording)
+    surface = compute_carrying_simplex(PLANAR, m=24)
+    assert len(reused) == surface.iterations == 109
+    assert sum(reused) >= 100
+
+
 def test_rebuild_errors_match_the_triangle_loop():
     grid = SimplexGrid.build(3, 8)
     rho = np.ones(len(grid))
@@ -733,7 +842,7 @@ def test_cell_search_holds_every_triangle_the_full_search_accepts(k):
         points = np.concatenate([near, nudged, beyond.reshape(-1, 2), random])
 
         p, t = np.indices((points.shape[0], det.size)).reshape(2, -1)
-        w = simplex._barycentric(points[p], a[t], b[t], c[t], det[t])
+        w = simplex._barycentric(points[p], a[t], (b - a)[t], (c - a)[t], det[t])
         w_min = np.minimum(w[0], np.minimum(w[1], w[2])).reshape(points.shape[0], det.size)
         winner = np.argmax(w_min, axis=1)  # the first on ties
         top = w_min[np.arange(points.shape[0]), winner]
@@ -744,6 +853,29 @@ def test_cell_search_holds_every_triangle_the_full_search_accepts(k):
         outside += np.count_nonzero(accepted & (top < 0.0))
         widths = max(widths, np.ptp(corners, axis=1).max())
     assert outside > 100 and widths > 0.5
+
+
+def test_cell_lists_are_reused_only_while_lo_and_hi_repeat():
+    """With a memo, the search equals a fresh one when the triangles keep
+    their cells, grow about the lower corner of their boxes, which keeps
+    every lo and moves some hi, and shrink back."""
+    rng = np.random.default_rng(18)
+    points = rng.dirichlet(np.ones(3), size=400)[:, :2]
+    memo = {}
+    reused = []
+    for _ in range(5):
+        corners, _ = _random_triangles(rng, 3, snap=12)
+        low = corners.min(axis=1, keepdims=True)
+        for tri in (corners, corners, low + 1.5 * (corners - low)) * 2:
+            a, b, c = tri.transpose(1, 0, 2)
+            ab, ac = b - a, c - a
+            det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+            pairs = memo.get("pairs")
+            kept = simplex._best_in_cells(points, a, b, c, det, 12, memo)
+            fresh = simplex._best_in_cells(points, a, b, c, det, 12)
+            assert np.array_equal(kept[0], fresh[0]) and np.array_equal(kept[1], fresh[1])
+            reused.append(memo["pairs"] is pairs)
+    assert reused == [False, True, False, False, True, False] * 5
 
 
 @pytest.mark.parametrize("m", [2, 5, 24])
