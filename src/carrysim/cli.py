@@ -18,10 +18,11 @@ no rule below applies:
 Once the model's n is known, and before any array is built, a usage error
 also refuses a flag whose largest batch, at n x n floats per row, would hold
 more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
-``--grid m`` (``check`` and the ``simplex`` pre-check), a surface lattice of
-(m + 1)^(n - 1) rows for ``simplex --grid m``, one row per sample for
-``--samples``, and for ``sweep1d`` the min(record, steps) x b-count orbit
-values it keeps (n = 1); the sweep's peak memory is a fixed multiple of those.
+``--grid m`` and Eq4's refinement of 9^n points (``check`` and the ``simplex``
+pre-check, which refuse every n >= 7), a surface lattice of (m + 1)^(n - 1)
+rows for ``simplex --grid m``, one row per sample for ``--samples``, and for
+``sweep1d`` the min(record, steps) x b-count orbit values it keeps (n = 1);
+the sweep's peak memory is a fixed multiple of those.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import run_criteria
+from .criteria import EQ4_REFINE_POINTS, run_criteria
 from .modelio import LoadedModel, ModelFileError, load_model_file
 from .models import ModelEvaluationError, ModelParameterError
 from .periodic import (
@@ -130,10 +131,11 @@ def _check_batch(flag: str, rows: int, n: int, default: int | None = None) -> No
 
 
 def _check_criteria_batches(args, n: int) -> None:
-    """The criteria evaluate M on a grid of m^n points, and C5's Jacobian at
-    one point per sample."""
+    """The criteria evaluate M on a grid of m^n points and on Eq4's refinement
+    of 9^n points (the larger for m < 9), and C5's Jacobian once per sample."""
     default = None if args.grid else CRITERIA_GRID
     _check_batch("--grid", (args.grid or CRITERIA_GRID) ** n, n, default)
+    _check_batch("--grid (Eq4's refinement)", EQ4_REFINE_POINTS**n, n)
     _check_batch("--samples", args.samples, n)
 
 
@@ -422,9 +424,7 @@ def cmd_wangjiang(args) -> int:
         return EXIT_FAIL
 
     rng = np.random.default_rng(args.seed)
-    base = np.array(
-        [b.const for b in system.B]
-    ) / np.array([system.A[i][i].const for i in range(system.n)])
+    base = system.b_const / np.diagonal(system.a_const)
     records = []
     all_passed = True
     min_slope = np.inf

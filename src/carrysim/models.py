@@ -55,7 +55,10 @@ def _check_batch(x, n: int) -> np.ndarray:
 
 
 class CompetitionModel:
-    """Base class: one map step is T(x) = x * growth(x)."""
+    """Base class: one map step is T(x) = x * growth(x).  A family implements
+    ``growth``, ``growth_and_jacobian`` and ``axial_fixed_points``; the base
+    derives ``growth_jacobian``, ``step``, ``axis_step``, ``step_jacobian`` and
+    ``verified_axial_fixed_points`` from them."""
 
     n: int
 
@@ -63,14 +66,13 @@ class CompetitionModel:
         """Per-capita growth factors G(x), shape like x."""
         raise NotImplementedError
 
-    def growth_jacobian(self, x) -> np.ndarray:
-        """dG_i/dx_j, shape (..., n, n)."""
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """G(x), and G'(x) of shape (..., n, n) formed from that same G."""
         raise NotImplementedError
 
-    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """G(x) and G'(x) together.  A model whose Jacobian comes out of the
-        evaluation of G overrides this to pay for that evaluation once."""
-        return self.growth(x), self.growth_jacobian(x)
+    def growth_jacobian(self, x) -> np.ndarray:
+        """dG_i/dx_j, shape (..., n, n)."""
+        return self.growth_and_jacobian(x)[1]
 
     def axial_fixed_points(self) -> np.ndarray:
         """The vector q with q_i the positive fixed point of T on axis i."""
@@ -132,7 +134,18 @@ def _diag_embed(g: np.ndarray) -> np.ndarray:
     return np.eye(g.shape[-1]) * g[..., None, :]
 
 
-def _validate_interaction_matrix(a, n: int) -> np.ndarray:
+def _closed_form_parameters(rates, a, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The positive rate vector ``name`` (B or C) and the interaction matrix A
+    of a closed-form family, checked and as float arrays."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 1:
+        raise ModelParameterError(f"{name} must be a vector")
+    if not np.all(np.isfinite(rates)):
+        raise ModelParameterError(f"{name} has non-finite entries")
+    if np.any(rates <= 0.0):
+        i = int(np.argwhere(rates <= 0.0)[0][0])
+        raise ModelParameterError(f"{name}[{i + 1}] = {rates[i]} must be > 0")
+    n = rates.size
     a = np.asarray(a, dtype=float)
     if a.shape != (n, n):
         raise ModelParameterError(f"A must be {n}x{n}, got shape {a.shape}")
@@ -148,19 +161,7 @@ def _validate_interaction_matrix(a, n: int) -> np.ndarray:
         raise ModelParameterError(
             f"A[{i + 1}][{i + 1}] = {a[i, i]}; self-interaction must be > 0"
         )
-    return a
-
-
-def _validate_positive_vector(b, n: int, name: str) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ModelParameterError(f"{name} must have length {n}, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ModelParameterError(f"{name} has non-finite entries")
-    if np.any(b <= 0.0):
-        i = int(np.argwhere(b <= 0.0)[0][0])
-        raise ModelParameterError(f"{name}[{i + 1}] = {b[i]} must be > 0")
-    return b
+    return rates, a
 
 
 class MayOsterModel(CompetitionModel):
@@ -171,21 +172,16 @@ class MayOsterModel(CompetitionModel):
     """
 
     def __init__(self, B, A):
-        b = np.asarray(B, dtype=float)
-        if b.ndim != 1:
-            raise ModelParameterError("B must be a vector")
-        self.n = b.size
-        self.B = _validate_positive_vector(b, self.n, "B")
-        self.A = _validate_interaction_matrix(A, self.n)
+        self.B, self.A = _closed_form_parameters(B, A, "B")
+        self.n = self.B.size
 
     def growth(self, x) -> np.ndarray:
         x = _check_batch(x, self.n)
         return np.exp(self.B - x @ self.A.T)
 
-    def growth_jacobian(self, x) -> np.ndarray:
-        x = _check_batch(x, self.n)
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         g = self.growth(x)
-        return -self.A * g[..., :, None]
+        return g, -self.A * g[..., :, None]
 
     def axial_fixed_points(self) -> np.ndarray:
         return self.B / np.diag(self.A)
@@ -195,22 +191,17 @@ class LeslieGowerModel(CompetitionModel):
     """Rational competition map: G_i(x) = C_i / (1 + sum_j A_ij x_j)."""
 
     def __init__(self, C, A):
-        c = np.asarray(C, dtype=float)
-        if c.ndim != 1:
-            raise ModelParameterError("C must be a vector")
-        self.n = c.size
-        self.C = _validate_positive_vector(c, self.n, "C")
-        self.A = _validate_interaction_matrix(A, self.n)
+        self.C, self.A = _closed_form_parameters(C, A, "C")
+        self.n = self.C.size
 
     def growth(self, x) -> np.ndarray:
         x = _check_batch(x, self.n)
         return self.C / (1.0 + x @ self.A.T)
 
-    def growth_jacobian(self, x) -> np.ndarray:
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_batch(x, self.n)
         g = self.growth(x)
-        denom = 1.0 + x @ self.A.T
-        return -self.A * (g / denom)[..., :, None]
+        return g, -self.A * (g / (1.0 + x @ self.A.T))[..., :, None]
 
     def axial_fixed_points(self) -> np.ndarray:
         if np.any(self.C <= 1.0):
@@ -249,12 +240,8 @@ class NeuralNetModel(CompetitionModel):
     """
 
     def __init__(self, B, A, gamma: float):
-        b = np.asarray(B, dtype=float)
-        if b.ndim != 1:
-            raise ModelParameterError("B must be a vector")
-        self.n = b.size
-        self.B = _validate_positive_vector(b, self.n, "B")
-        self.A = _validate_interaction_matrix(A, self.n)
+        self.B, self.A = _closed_form_parameters(B, A, "B")
+        self.n = self.B.size
         if not np.isfinite(gamma) or gamma <= 0.0:
             raise ModelParameterError(f"gamma = {gamma} must be > 0")
         self.gamma = float(gamma)
@@ -267,11 +254,9 @@ class NeuralNetModel(CompetitionModel):
     def growth(self, x) -> np.ndarray:
         return np.exp(self.transfer.value(self.signal(x)))
 
-    def growth_jacobian(self, x) -> np.ndarray:
-        s = self.signal(x)
-        g = np.exp(self.transfer.value(s))
-        d = self.transfer.deriv(s)
-        return -self.A * (d * g)[..., :, None]
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        g = self.growth(x)
+        return g, -self.A * (self.transfer.deriv(self.signal(x)) * g)[..., :, None]
 
     def axial_fixed_points(self) -> np.ndarray:
         # sigma(0) = 0 makes B_i / A_ii an exact axis fixed point.

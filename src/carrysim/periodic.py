@@ -87,6 +87,7 @@ class PeriodicLVSystem:
 
     Positivity of the coefficient functions is not enforced here: the
     A-condition checkers must be able to exhibit violations on purpose.
+    ``b_const`` (n,) and ``a_const`` (n, n) are the constant terms of B and A.
     """
 
     def __init__(self, B, A):
@@ -108,10 +109,10 @@ class PeriodicLVSystem:
         def pad(vals):
             return tuple(vals) + (0.0,) * (K - len(vals))
 
-        self._b_const = np.array([s.const for s in self.B])
+        self.b_const = np.array([s.const for s in self.B])
         self._b_cos = np.array([pad(s.cos) for s in self.B]).reshape(self.n, K)
         self._b_sin = np.array([pad(s.sin) for s in self.B]).reshape(self.n, K)
-        self._a_const = np.array([[a.const for a in row] for row in self.A])
+        self.a_const = np.array([[a.const for a in row] for row in self.A])
         self._a_cos = np.array(
             [[pad(a.cos) for a in row] for row in self.A]
         ).reshape(self.n, self.n, K)
@@ -126,9 +127,9 @@ class PeriodicLVSystem:
         t = np.asarray(t, dtype=float)[..., None]
         angles = 2.0 * np.pi * np.arange(1, self._K + 1) * t
         c, s = np.cos(angles)[..., None], np.sin(angles)[..., None]
-        b = self._b_const + (self._b_cos @ c)[..., 0] + (self._b_sin @ s)[..., 0]
+        b = self.b_const + (self._b_cos @ c)[..., 0] + (self._b_sin @ s)[..., 0]
         c, s = c[..., None, :, :], s[..., None, :, :]
-        a = self._a_const + (self._a_cos @ c)[..., 0] + (self._a_sin @ s)[..., 0]
+        a = self.a_const + (self._a_cos @ c)[..., 0] + (self._a_sin @ s)[..., 0]
         return b, a
 
 
@@ -322,9 +323,6 @@ class PoincareMapModel(CompetitionModel):
         g = np.exp(ell)
         return g, g[..., :, None] * d_ell
 
-    def growth_jacobian(self, x) -> np.ndarray:
-        return self.growth_and_jacobian(x)[1]
-
     @np.errstate(divide="ignore", invalid="ignore")
     def axial_fixed_points(self) -> np.ndarray:
         """Newton on l_i(1; r e_i) = 0, r > 0, all n axes as one batch of tangent passes.
@@ -336,7 +334,7 @@ class PoincareMapModel(CompetitionModel):
         call solves afresh; ``verified_axial_fixed_points`` keeps the result.
         """
         n = self.n
-        b0, a0 = self.system._b_const, np.diagonal(self.system._a_const)
+        b0, a0 = self.system.b_const, np.diagonal(self.system.a_const)
         r = np.where((b0 > 0) & (a0 > 0), b0 / a0, 1.0)
         lo, hi = np.zeros(n), np.full(n, np.inf)
         active, converged = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)

@@ -33,7 +33,13 @@ from carrysim.criteria import (
 )
 from carrysim import simplex
 from carrysim.modelio import load_model_file
-from carrysim.models import LeslieGowerModel, MayOsterModel, ModelParameterError, as_state
+from carrysim.models import (
+    LeslieGowerModel,
+    MayOsterModel,
+    ModelParameterError,
+    NeuralNetModel,
+    as_state,
+)
 from carrysim.periodic import (
     FourierSeries,
     IntegrationConfig,
@@ -378,6 +384,41 @@ def test_c5_matches_reference(model):
     assert record["worst"] == worst
     assert record["witness"] == ConditionResult("C5", "", witness=witness).to_record()["witness"]
     assert batched.note == (f"near-ties (> -1e-12): {near_ties}" if near_ties else "")
+
+
+def reference_growth_jacobian(model, x):
+    """G' as each closed form computed it apart from G, with G evaluated again."""
+    if isinstance(model, MayOsterModel):
+        return -model.A * model.growth(x)[..., :, None]
+    if isinstance(model, LeslieGowerModel):
+        g = model.growth(x)
+        denom = 1.0 + x @ model.A.T
+        return -model.A * (g / denom)[..., :, None]
+    s = model.signal(x)
+    g = np.exp(model.transfer.value(s))
+    d = model.transfer.deriv(s)
+    return -model.A * (d * g)[..., :, None]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MayOsterModel([0.5, 0.4, 0.45], [[1, 0.2, 0.1], [0.3, 1, 0.2], [0.1, 0.2, 1]]),
+        LeslieGowerModel([1.3, 1.2, 1.25], [[1, 0.2, 0.1], [0.3, 1, 0.2], [0.1, 0.2, 1]]),
+        NeuralNetModel([0.5, 0.4, 0.45], [[1, 0.2, 0.1], [0.3, 1, 0.2], [0.1, 0.2, 1]], 1.7),
+        MayOsterModel([0.7], [[1.3]]),
+    ],
+    ids=["may3", "lg3", "neural3", "may1"],
+)
+def test_growth_and_jacobian_match_the_separate_evaluations(model):
+    """One evaluation of G gives the same bits as G and G' evaluated apart."""
+    rng = np.random.default_rng(19)
+    batch = _batch_with_facets(rng, 40, model.n)
+    for x in (batch, *batch[[0, 1, -1]]):
+        g, gp = model.growth_and_jacobian(x)
+        assert np.array_equal(g, model.growth(x))
+        assert np.array_equal(gp, reference_growth_jacobian(model, x))
+        assert np.array_equal(model.growth_jacobian(x), gp)
 
 
 def reference_support_groups(pts):

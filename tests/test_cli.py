@@ -190,6 +190,29 @@ def test_a_refused_default_grid_is_named_as_the_default(tmp_path, capsys, no_map
         main(["check", "--model", str(path), "--grid", "11"])  # 11^6 = 1,771,561 points
 
 
+def test_eq4_refinement_counts_toward_the_batch_bound(tmp_path, capsys, no_map_model):
+    """Eq4 refines on 9^n points whatever the grid, so below --grid 9 that
+    batch is the larger one, and at n = 7 it exceeds the bound."""
+
+    def may_oster_file(n):
+        path = tmp_path / f"may{n}.json"
+        A = (0.05 + 0.95 * np.eye(n)).tolist()
+        path.write_text(json.dumps({"type": "may_oster", "n": n, "B": [0.4] * n, "A": A}))
+        return path
+
+    may7, may6 = may_oster_file(7), may_oster_file(6)
+    for command in ("check", "simplex"):
+        argv = [command, "--model", str(may7), "--grid", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 64
+        assert capsys.readouterr().err == (
+            "error: --grid (Eq4's refinement): asks for a batch of 4782969 points; "
+            "at most 1369568 for 7 species\n"
+        )
+    assert sorted(tmp_path.iterdir()) == [may6, may7]
+    with pytest.raises(AssertionError, match="a map model was built"):
+        main(["check", "--model", str(may6), "--grid", "2"])  # 9^6 = 531,441 points
+
+
 SWEEP = ["sweep1d", "--b-min", "1", "--b-max", "2"]
 
 

@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from carrysim.criteria import competition_matrix
 from carrysim.models import (
     Q_RESIDUAL_TOL,
     LeslieGowerModel,
@@ -210,3 +213,18 @@ def test_as_state_rejections():
             as_state([0.1, bad], n=2)
     with pytest.raises(ValueError, match="negative"):
         as_state([0.1, -1e-300], n=2)
+
+
+@pytest.mark.parametrize("name", ["may2", "lg2", "neural2"])
+def test_competition_matrix_and_step_jacobian_evaluate_growth_once(name, request, monkeypatch):
+    """M(x) and T'(x) take G and G' from one evaluation of G per call."""
+    model = request.getfixturevalue(name)
+    calls = []
+    growth = model.growth
+    monkeypatch.setattr(model, "growth", lambda x: calls.append(1) or growth(x))
+    pts = np.array([[0.3, 0.2], [0.0, 0.4], [0.0, 0.0]])
+    for evaluate in (partial(competition_matrix, model), model.step_jacobian):
+        for x in (pts, pts[0]):
+            calls.clear()
+            evaluate(x)
+            assert len(calls) == 1
