@@ -22,7 +22,10 @@ more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
 pre-check, which refuse every n >= 7), a surface lattice of (m + 1)^(n - 1)
 rows for ``simplex --grid m``, one row per sample for ``--samples``, and for
 ``sweep1d`` the min(record, steps) x b-count orbit values it keeps (n = 1);
-the sweep's peak memory is a fixed multiple of those.
+the sweep's peak memory is a fixed multiple of those.  ``sweep1d --steps``
+above ``MAX_STEPS_PER_INTEGRATION`` (2^20) map steps is refused too, as
+``simulate --steps`` of a periodic model is: the sweep takes one numpy call
+per step.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .criteria import EQ4_REFINE_POINTS, run_criteria
 from .modelio import LoadedModel, ModelFileError, load_model_file
 from .models import ModelEvaluationError, ModelParameterError
 from .periodic import (
+    MAX_STEPS_PER_INTEGRATION,
     IntegrationConfig,
     check_a_conditions,
     integrate,
@@ -47,6 +51,8 @@ from .simplex import (
     CLOUD_STEPS,
     SWEEP_CLASSES,
     SurfaceDegeneracyError,
+    _asymptotic_starts,
+    _Orbits,
     compute_attractor_cloud,
     compute_carrying_simplex,
     sweep_1d,
@@ -302,11 +308,14 @@ def cmd_simplex(args) -> int:
     meta_path = out.with_suffix(".meta.json")
 
     if model.n <= 3:
+        # the asymptotic check's orbits ride in the surface's map calls
+        q = model.verified_axial_fixed_points()
+        orbits = _Orbits(_asymptotic_starts(q, args.seed), q)
         surface = compute_carrying_simplex(
-            model, m=args.grid, tol=args.tol, max_iter=args.max_iter
+            model, m=args.grid, tol=args.tol, max_iter=args.max_iter, orbits=orbits
         )
         verification = verify_surface(
-            surface, model, samples=min(args.samples, 2_000), seed=args.seed
+            surface, model, samples=min(args.samples, 2_000), seed=args.seed, orbits=orbits
         )
         write_surface_csv(surface, out)
         meta = surface.metadata()
@@ -388,6 +397,10 @@ def cmd_sweep1d(args) -> int:
         raise UsageError("--b-max must be >= --b-min")
     keep = min(args.record, args.steps)  # the orbit tail kept per b
     _check_batch("min(--record, --steps) x --b-count", keep * args.b_count, 1)
+    if args.steps > MAX_STEPS_PER_INTEGRATION:
+        raise UsageError(
+            f"--steps: at most {MAX_STEPS_PER_INTEGRATION} map steps, got {args.steps}"
+        )
     sweep = sweep_1d(
         args.a,
         args.b_min,

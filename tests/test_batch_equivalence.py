@@ -10,6 +10,7 @@ per-point loops, to 1e-9 relative, the error of a 1e-6 difference step.  The
 Newton solve for q is compared with the axis iteration to 1e-12 relative.
 """
 
+import dataclasses
 import itertools
 from functools import partial
 from pathlib import Path
@@ -1026,8 +1027,9 @@ def reference_tangent(table, x0):
     """l and D = dl/dx0 of the RK4 map over a stage table, by the plain
     species-major loop that forms every stage afresh: its argument, its exp,
     the increment and the tangent stage A (exp(l) (x0 D_j + e_j)) of every
-    column j, all columns as one stacked product."""
-    t0, h, b, a = table
+    column j, all columns as one stacked product.  A model's table also lists
+    each step's operands; they are taken here from ``b`` and ``a``."""
+    t0, h, b, a, *_ = table
     half, sixth = 0.5 * h, h / 6.0
     x0_cols = np.atleast_2d(x0).T.copy()
     n, N = x0_cols.shape
@@ -1187,6 +1189,95 @@ def test_asymptotic_check_matches_the_fixed_length_loop(name, request, monkeypat
     assert np.array_equal(stats.gaps_half, reference.gaps_half)
     assert np.array_equal(stats.gaps_end, reference.gaps_end)
     assert (stats.escaped > 0) == (name == "escaping")
+
+
+# ---------------------------------------------------------------------------
+# the asymptotic check's orbits ride in the surface sweeps
+# ---------------------------------------------------------------------------
+
+
+def _stacking_model(family, n):
+    """A map of n species from the family: a closed form with coupled
+    species, or a period map with forced coefficients at 64 or 256 steps."""
+    rng = np.random.default_rng(n)
+    B = 0.3 + 0.3 * rng.random(n)
+    A = 0.1 + 0.2 * rng.random((n, n))
+    np.fill_diagonal(A, 1.0)
+    if family == "may":
+        return MayOsterModel(B, A)
+    if family == "lg":
+        return LeslieGowerModel(1.0 + B, A)
+    if family == "neural":
+        return NeuralNetModel(B, A, gamma=1.0)
+    steps = int(family.removeprefix("period"))
+    return PoincareMapModel(random_fourier_system(rng, n, 2), IntegrationConfig(steps))
+
+
+# the resolutions whose node rows the CLI stacks: the default m, and the
+# benchmark's m = 24 and 16 for three species
+STACKED_M = {1: [1], 2: [64], 3: [24, 16]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", ["may", "lg", "neural", "period64", "period256"])
+def test_stacked_step_matches_each_part(family, n):
+    model = _stacking_model(family, n)
+    q = model.verified_axial_fixed_points()
+    rng = np.random.default_rng(7)
+    parts = [simplex._asymptotic_starts(q, 42)]  # the check's 100 starts
+    for m in STACKED_M[n]:
+        nodes = SimplexGrid.build(n, m).nodes
+        # node points between half and twice the radius at which the ray leaves [0, q]
+        exit_radius = np.min(np.where(nodes > 0, q / np.where(nodes > 0, nodes, 1.0), np.inf), 1)
+        parts.append(nodes * (exit_radius * rng.uniform(0.5, 2.0, len(nodes)))[:, None])
+    for points in parts[1:]:
+        stacked = model.step(np.vstack([points, parts[0]]))
+        assert np.array_equal(stacked[: len(points)], model.step(points)), (family, n, len(points))
+        assert np.array_equal(stacked[len(points) :], model.step(parts[0])), (family, n)
+
+
+# (model or fixture name, compute_carrying_simplex keywords) of each case
+RIDING_CASES = {
+    "periodic64": ("periodic64", {}),
+    "may2": ("may2", {}),
+    "neural2": ("neural2", {}),
+    "may1_b3": ("may1_b3", {}),
+    "planar-24": (PLANAR, {"m": 24}),
+    "overshoot-16": (OVERSHOOT, {"m": 16}),
+    # starts 130 steps on: they repeat within 12 steps, before the 41st sweep
+    "finish-first": ("may2", {}),
+    # no start repeats within 400 steps, and the surface sweeps 300 times
+    "half-in-sweeps": ("lg2", {"tol": 1e-300, "max_iter": 300}),
+}
+
+
+@pytest.mark.parametrize("name", list(RIDING_CASES))
+def test_ridden_orbits_match_the_unridden_check(name, request):
+    model, kwargs = RIDING_CASES[name]
+    model = request.getfixturevalue(model) if isinstance(model, str) else model
+    q = model.verified_axial_fixed_points()
+    starts = simplex._asymptotic_starts(q, 42)
+    if name == "finish-first":
+        for _ in range(130):
+            starts = model.step(starts)
+    orbits = simplex._Orbits(starts, q)
+    ridden = compute_carrying_simplex(model, orbits=orbits, **kwargs)
+    rode, half_in_sweeps = orbits.steps, orbits.half is not None
+    stats = simplex.asymptotic_check(ridden, model, orbits)
+    surface = compute_carrying_simplex(model, **kwargs)
+    reference = simplex.asymptotic_check(surface, model, starts)
+
+    assert np.array_equal(ridden.radii, surface.radii)
+    assert ridden.metadata() == surface.metadata()
+    for field in dataclasses.fields(simplex.AsymptoticStats):
+        ours, theirs = getattr(stats, field.name), getattr(reference, field.name)
+        assert np.array_equal(ours, theirs), field.name
+    # every sweep until the orbits were done carried them
+    assert rode == min(ridden.iterations, orbits.steps) > 0
+    if name == "finish-first":
+        assert rode < ridden.iterations and ridden.converged
+    if name == "half-in-sweeps":
+        assert half_in_sweeps and rode == 300 and orbits.steps == simplex.ASYMPTOTIC_STEPS
 
 
 # ---------------------------------------------------------------------------

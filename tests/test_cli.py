@@ -8,7 +8,8 @@ import pytest
 
 from carrysim.cli import MAX_BATCH_ENTRIES, main
 from carrysim.modelio import LoadedModel
-from carrysim.periodic import PoincareMapModel
+from carrysim.models import MayOsterModel, ModelEvaluationError
+from carrysim.periodic import MAX_STEPS_PER_INTEGRATION, PoincareMapModel
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 # the periodic model at the reduced resolution of the periodic_check benchmark
@@ -251,6 +252,22 @@ def test_sweep_at_the_batch_bound_is_accepted(argv, monkeypatch):
         main([*SWEEP, *argv])
 
 
+def test_sweep_steps_above_the_integration_bound_are_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep_1d was called")
+
+    monkeypatch.setattr("carrysim.cli.sweep_1d", no_sweep)
+    argv = [*SWEEP, "--record", "1", "--b-count", "1", "--steps"]
+    assert main([*argv, str(MAX_STEPS_PER_INTEGRATION + 1), "--out", str(tmp_path / "s.csv")]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: --steps: at most 1048576 map steps, got 1048577\n"
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(AssertionError, match="sweep_1d was called"):
+        main([*argv, str(MAX_STEPS_PER_INTEGRATION)])
+
+
 @pytest.mark.parametrize(
     "argv, summary",
     [
@@ -381,6 +398,43 @@ def test_simplex_computes_the_period_map_q_once(tmp_path, monkeypatch):
     assert main(argv) == 1  # at m = 8 the surface is not unordered
     assert len(calls) == 1
     assert out.with_suffix(".meta.json").exists()
+
+
+MAY2_NODES = 65  # the surface grid of two species at the default m = 64
+
+
+@pytest.mark.parametrize(
+    "fails_from, collapse, code, line",
+    [
+        # only batches with the check's starts fail: the surface is computed
+        # without them, and the check then meets the error alone
+        (MAY2_NODES + 1, False, 1, "error: a step of 100 rows failed"),
+        # the node points fail too: the sweep raises what they raise alone
+        (MAY2_NODES, False, 1, "error: a step of 65 rows failed"),
+        # the node points map to the origin: the surface degenerates first
+        (MAY2_NODES + 1, True, 3, "error: node 0 mapped to the origin; surface cannot cross 0"),
+    ],
+)  # fmt: skip
+def test_a_failed_stacked_step_keeps_the_error_of_the_unstacked_steps(
+    fails_from, collapse, code, line, tmp_path, capsys, monkeypatch
+):
+    rows = []
+    step = MayOsterModel.step
+
+    def failing(self, x):
+        rows.append(len(x))
+        if len(x) >= fails_from:
+            raise ModelEvaluationError(f"a step of {len(x)} rows failed")
+        return np.zeros_like(x) if collapse and len(x) == MAY2_NODES else step(self, x)
+
+    monkeypatch.setattr(MayOsterModel, "step", failing)
+    out = tmp_path / "surface.csv"
+    argv = ["simplex", "--model", model("may2"), "--force", "--samples", "50", "--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+    assert not list(tmp_path.iterdir())
+    assert rows.count(MAY2_NODES + 100) == 1  # the orbits stop riding at the first failure
 
 
 def test_model_file_that_is_not_utf8_exits_64(tmp_path, capsys):
