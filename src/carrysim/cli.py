@@ -22,10 +22,10 @@ more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
 pre-check, which refuse every n >= 7), a surface lattice of (m + 1)^(n - 1)
 rows for ``simplex --grid m``, one row per sample for ``--samples``, and for
 ``sweep1d`` the min(record, steps) x b-count orbit values it keeps (n = 1);
-the sweep's peak memory is a fixed multiple of those.  ``sweep1d --steps``
-above ``MAX_STEPS_PER_INTEGRATION`` (2^20) map steps is refused too, as
-``simulate --steps`` of a periodic model is: the sweep takes one numpy call
-per step.
+the sweep's peak memory is a fixed multiple of those.  The sweep's time is
+bounded too: ``sweep1d --steps`` above ``MAX_STEPS_PER_INTEGRATION`` (2^20)
+map steps is refused, as ``simulate --steps`` of a periodic model is, and so
+is a steps x b-count above ``MAX_SWEEP_EVALUATIONS`` (2^36) map evaluations.
 """
 
 from __future__ import annotations
@@ -51,13 +51,10 @@ from .simplex import (
     CLOUD_STEPS,
     SWEEP_CLASSES,
     SurfaceDegeneracyError,
-    _asymptotic_starts,
-    _Orbits,
+    compute_and_verify_surface,
     compute_attractor_cloud,
-    compute_carrying_simplex,
     sweep_1d,
     unordered_check,
-    verify_surface,
     write_csv,
     write_surface_csv,
     write_sweep_csv,
@@ -72,6 +69,9 @@ CRITERIA_GRID = 16  # the criteria's grid resolution when --grid is not given
 # rows * n * n of the largest Jacobian batch a --grid or --samples value may
 # ask for (512 MiB of floats); the period map's tangent pass holds several
 MAX_BATCH_ENTRIES = 1 << 26
+# map evaluations of a sweep1d run, --steps x --b-count: just above the
+# default --steps 1000 at the largest tail, 2^26 b values (3.5 min at 3 ns each)
+MAX_SWEEP_EVALUATIONS = 1 << 36
 
 
 class UsageError(Exception):
@@ -308,14 +308,13 @@ def cmd_simplex(args) -> int:
     meta_path = out.with_suffix(".meta.json")
 
     if model.n <= 3:
-        # the asymptotic check's orbits ride in the surface's map calls
-        q = model.verified_axial_fixed_points()
-        orbits = _Orbits(_asymptotic_starts(q, args.seed), q)
-        surface = compute_carrying_simplex(
-            model, m=args.grid, tol=args.tol, max_iter=args.max_iter, orbits=orbits
-        )
-        verification = verify_surface(
-            surface, model, samples=min(args.samples, 2_000), seed=args.seed, orbits=orbits
+        surface, verification = compute_and_verify_surface(
+            model,
+            m=args.grid,
+            tol=args.tol,
+            max_iter=args.max_iter,
+            samples=min(args.samples, 2_000),
+            seed=args.seed,
         )
         write_surface_csv(surface, out)
         meta = surface.metadata()
@@ -400,6 +399,11 @@ def cmd_sweep1d(args) -> int:
     if args.steps > MAX_STEPS_PER_INTEGRATION:
         raise UsageError(
             f"--steps: at most {MAX_STEPS_PER_INTEGRATION} map steps, got {args.steps}"
+        )
+    if args.steps * args.b_count > MAX_SWEEP_EVALUATIONS:
+        raise UsageError(
+            f"--steps x --b-count: at most {MAX_SWEEP_EVALUATIONS} map evaluations, "
+            f"got {args.steps * args.b_count}"
         )
     sweep = sweep_1d(
         args.a,

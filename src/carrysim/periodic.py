@@ -163,8 +163,6 @@ def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
 def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangent=False):
     """RK4 on dl/dt = B(t) - A(t) (x0 * exp(l)) over a ``_stage_table``; returns
     l(t1), or with ``record`` the step-boundary times and l at each of them.
-    A table that serves many calls may carry, as a fifth entry, the list of
-    each step's operands (B and A at its three stage times).
 
     ``x0`` is one state (n,) or a batch (N, n); the loop carries x0 and l
     species-major, as (n, N) arrays, so that every stage is one (n, n) @ (n, N)
@@ -181,7 +179,7 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangen
     dl_i/dx0_j.  The tangent stages read exp(l_s) from the l stages, which
     keep the four in buffers of their own only then; l goes through the same
     operations with or without the tangent."""
-    t0, h, b, a, *listed = table
+    t0, h, b, a = table
     # 0-d arrays: a ufunc takes them with less overhead than Python floats
     half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
     x0_cols = np.atleast_2d(x0).T.copy()
@@ -209,8 +207,7 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangen
 
     # ndarray.dot is the cheapest call of the (n, n) @ (n, N) product, with
     # the bits of @; the tangent's stacked (n, n) @ (n, n, N) takes matmul
-    steps = listed[0] if listed else zip(*b, *a)
-    for step, (b1, b2, b4, a1, a2, a4) in enumerate(steps):
+    for step, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a)):
         # k1, into the sum
         np.exp(ell, out=e1)
         np.multiply(x0_cols, e1, out=w)
@@ -316,10 +313,7 @@ class PoincareMapModel(CompetitionModel):
         self.system = system
         self.config = config or IntegrationConfig()
         self.n = system.n
-        t0, h, b, a = _stage_table(system, (0.0, 1.0), self.config)
-        # each step's operands (b1, b2, b4, a1, a2, a4), listed once for
-        # every call rather than sliced per step in each
-        self._table = (t0, h, b, a, list(zip(*b, *a)))
+        self._table = _stage_table(system, (0.0, 1.0), self.config)
 
     def growth(self, x) -> np.ndarray:
         return np.exp(_log_gain(self._table, np.asarray(x, dtype=float)))

@@ -196,7 +196,6 @@ def compute_carrying_simplex(
     m: int | None = None,
     tol: float = 1e-10,
     max_iter: int = 5_000,
-    orbits: _Orbits | None = None,
 ) -> RadialSurface:
     """Iterate a dominating radial graph under the map until it settles.
 
@@ -207,11 +206,10 @@ def compute_carrying_simplex(
     movement drops below ``tol``.  A non-converged surface is returned with
     ``converged=False`` rather than raised.
 
-    ``orbits``, the trajectories of an :func:`asymptotic_check` yet to come,
-    ride in the sweeps: until they are done, a sweep steps the node points
-    and the orbits' states in one ``model.step`` call.  This rests on
-    ``step`` giving a row of a 2-D batch the same bits whatever else is in
-    the batch, so the radii are those of a surface computed without them.
+    Each sweep is one ``model.step`` call on a 2-D batch of node points;
+    :func:`compute_and_verify_surface` stacks the asymptotic check's states
+    onto those calls, which rests on ``step`` giving a row of a 2-D batch
+    the same bits whatever else is in the batch.
     """
     n = model.n
     if n not in _DEFAULT_M:
@@ -233,7 +231,7 @@ def compute_carrying_simplex(
     converged = False
     memo: dict = {}  # the interior nodes' candidate lists, see _best_in_cells
     for iteration in range(1, max_iter + 1):
-        new_radii = _sweep(model, grid, radii, memo, orbits)
+        new_radii = _sweep(model, grid, radii, memo)
         delta = float(np.max(np.abs(new_radii - radii)))
         if iteration >= 2:
             descent_violations += int(np.count_nonzero(new_radii > radii + 1e-12))
@@ -256,12 +254,10 @@ def compute_carrying_simplex(
     )
 
 
-def _sweep(
-    model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray, memo, orbits
-) -> np.ndarray:
+def _sweep(model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray, memo) -> np.ndarray:
     """One graph-transform sweep: push forward, reproject, rebuild."""
     points = radii[:, None] * grid.nodes
-    images = model.step(points) if orbits is None else orbits.step_with(model, points)
+    images = model.step(points)
     rho = images.sum(axis=1)
     if np.any(rho <= 0.0):
         bad = int(np.argmax(rho <= 0.0))
@@ -511,63 +507,57 @@ class AsymptoticStats:
         }
 
 
-class _Orbits:
-    """The trajectories of an asymptotic check, advanced one map step at a time.
-
-    Holds the states ``X``, which rows have left the box [0, 10 q], the
-    states at half time (``ASYMPTOTIC_STEPS // 2`` steps) and whether the
-    iteration is ``done``: after ``ASYMPTOTIC_STEPS`` steps, or once a step
-    returned its input bit for bit.  The step is deterministic, so every
-    later state, the half-time one if still ahead, is that array.
-    """
-
-    def __init__(self, starts, q: np.ndarray):
-        X = np.atleast_2d(np.asarray(starts, dtype=float))
-        if np.any(X.sum(axis=1) == 0.0):
-            raise ValueError("asymptotic check requires nonzero initial points")
-        self.X, self.box = X, 10.0 * q
-        self.escaped = np.zeros(X.shape[0], dtype=bool)
-        self.half = None
-        self.steps = 0
-        self.done = False
-        self.riding = True  # whether step_with stacks them
-
-    def advance(self, Y: np.ndarray) -> None:
-        """Take ``Y``, the step of ``X``, as the next states."""
-        self.steps += 1
-        self.escaped |= np.any(Y > self.box, axis=1)
-        if Y.tobytes() == self.X.tobytes():
-            self.done = True
-            return
-        self.X = Y
-        if self.steps == ASYMPTOTIC_STEPS // 2:
-            self.half = Y
-        self.done = self.steps == ASYMPTOTIC_STEPS
-
-    def step_with(self, model: CompetitionModel, points: np.ndarray) -> np.ndarray:
-        """``model.step(points)`` for a 2-D ``points``, in one call with the
-        states while they ride.  If that call raises, the points are stepped
-        alone, which raises what it raised without the states, and the states
-        stop riding: :meth:`finish` meets their error on its own."""
-        if self.done or not self.riding:
-            return model.step(points)
-        try:
-            images = model.step(np.vstack([points, self.X]))
-        except ModelEvaluationError:
-            self.riding = False
-            return model.step(points)
-        self.advance(images[len(points) :])
-        return images[: len(points)]
-
-    def finish(self, model: CompetitionModel) -> None:
-        while not self.done:
-            self.advance(model.step(self.X))
-
-
 def _asymptotic_starts(q: np.ndarray, seed: int) -> np.ndarray:
     """The ``ASYMPTOTIC_STARTS`` random starts in [0.05 q, 1.5 q] at ``seed``."""
     rng = np.random.default_rng(seed)
     return 0.05 * q + rng.random((ASYMPTOTIC_STARTS, q.size)) * (1.45 * q)
+
+
+class _RidingOrbits:
+    """``model``, whose 2-D steps also step trajectories from ``starts`` while
+    ``riding``.
+
+    A step of a 2-D batch stacks the batch over the trajectories' latest
+    states and keeps their images in ``path``, until they have taken
+    ``ASYMPTOTIC_STEPS`` steps or a step returned its input bit for bit.  A
+    step of a state in ``path`` returns its kept image, so an
+    :func:`asymptotic_check` from ``starts`` reads those steps back instead
+    of taking them again.  Both have the bits of a step taken alone, because
+    ``step`` gives a row of a 2-D batch the same bits whatever else is in
+    the batch; a 1-D single state may differ, so none is stacked.  If a
+    stacked step raises ``ModelEvaluationError``, the batch is stepped
+    alone, which raises what it raises without the trajectories, and the
+    riding stops: the check meets their error when it takes that step.
+    """
+
+    def __init__(self, model: CompetitionModel, starts: np.ndarray):
+        self.model = model
+        self.path = [starts]  # the trajectories' states, one (N, n) array per step
+        self.read = 0  # the index in path of the state whose image is read next
+        self.riding = True
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def step(self, x) -> np.ndarray:
+        path, k = self.path, self.read
+        if (
+            k + 1 < len(path)
+            and np.shape(x) == path[k].shape
+            and np.asarray(x, dtype=float).tobytes() == path[k].tobytes()
+        ):
+            self.read = k + 1
+            return path[k + 1].copy()
+        if not self.riding or np.ndim(x) != 2:
+            return self.model.step(x)
+        try:
+            images = self.model.step(np.vstack([x, path[-1]]))
+        except ModelEvaluationError:
+            self.riding = False
+            return self.model.step(x)
+        path.append(images[len(x) :].copy())
+        self.riding = len(path) <= ASYMPTOTIC_STEPS and path[-1].tobytes() != path[-2].tobytes()
+        return images[: len(x)]
 
 
 def asymptotic_check(
@@ -583,24 +573,31 @@ def asymptotic_check(
     below 10*tol and has not grown since half time, above tol: while
     crossing the surface a trajectory can dip below the interpolation error
     before settling at it.  A start leaving the box [0, 10 q] fails at the
-    end.  The iteration stops once a step returns its input bit for bit,
-    and ``steps`` stays ASYMPTOTIC_STEPS.
-
-    ``initial_points`` are the starts, or ``_Orbits`` that rode in the
-    surface's sweeps (see :func:`compute_carrying_simplex`); their steps
-    left are taken here alone.  Either way the gaps are those of the
-    trajectories iterated here from the starts, since ``step`` gives a row
-    of a 2-D batch the same bits whatever else is in the batch.
+    end.  The loop stops once a step returns its input bit for bit: the
+    step is deterministic, so every later state, the half-time one if still
+    ahead, is that array, and ``steps`` stays ASYMPTOTIC_STEPS.  Under
+    :func:`compute_and_verify_surface` the steps the trajectories took inside
+    the surface's sweeps are read back, with the same bits, not taken again.
     """
-    orbits = initial_points
-    if not isinstance(orbits, _Orbits):
-        orbits = _Orbits(initial_points, surface.q)
-    orbits.finish(model)
-    gaps_end = _radial_gaps(surface, orbits.X)
-    gaps_half = gaps_end if orbits.half is None else _radial_gaps(surface, orbits.half)
+    X = np.atleast_2d(np.asarray(initial_points, dtype=float))
+    if np.any(X.sum(axis=1) == 0.0):
+        raise ValueError("asymptotic check requires nonzero initial points")
+    box = 10.0 * surface.q
+    escaped = np.zeros(X.shape[0], dtype=bool)
+    gaps_half = None
+    for k in range(1, ASYMPTOTIC_STEPS + 1):
+        Y = model.step(X)
+        escaped |= np.any(Y > box, axis=1)
+        if Y.tobytes() == X.tobytes():
+            break
+        X = Y
+        if k == ASYMPTOTIC_STEPS // 2:
+            gaps_half = _radial_gaps(surface, X)
+    gaps_end = _radial_gaps(surface, X)
+    gaps_half = gaps_end if gaps_half is None else gaps_half
     tol = discretization_floor(surface)
     ok = (
-        not orbits.escaped.any()
+        not escaped.any()
         and bool(np.all(gaps_end < 10.0 * tol))
         and bool(np.all(gaps_end <= np.maximum(gaps_half, tol) + 1e-15))
     )
@@ -608,7 +605,7 @@ def asymptotic_check(
         passed=ok,
         gaps_half=gaps_half,
         gaps_end=gaps_end,
-        escaped=int(orbits.escaped.sum()),
+        escaped=int(escaped.sum()),
         steps=ASYMPTOTIC_STEPS,
         tol=tol,
     )
@@ -673,19 +670,14 @@ def verify_surface(
     model: CompetitionModel,
     samples: int = 1_000,
     seed: int = 42,
-    orbits: _Orbits | None = None,
 ) -> SurfaceVerification:
-    """Run the full defining-property suite against a computed surface.
-
-    The asymptotic check starts from ``_asymptotic_starts(q, seed)``, or
-    takes ``orbits``, those starts as they rode in the surface's sweeps
-    (see :func:`compute_carrying_simplex`).  An error of their steps comes
-    up here in either case, after the invariance and unordered checks.
-    """
+    """Run the full defining-property suite against a computed surface; the
+    asymptotic check starts from ``ASYMPTOTIC_STARTS`` points in [0.05 q, 1.5 q].
+    :func:`compute_and_verify_surface` computes a surface and verifies it at
+    once, the check's trajectories riding in the surface's sweeps."""
     residual = invariance_residual(surface, model, samples=samples, seed=seed)
     unordered = unordered_check(surface.points())
-    starts = _asymptotic_starts(surface.q, seed) if orbits is None else orbits
-    asym = asymptotic_check(surface, model, starts)
+    asym = asymptotic_check(surface, model, _asymptotic_starts(surface.q, seed))
     axial_errors = np.abs(surface.axis_radii() - surface.q)
     return SurfaceVerification(
         invariance=residual,
@@ -694,6 +686,30 @@ def verify_surface(
         axial_errors=axial_errors,
         seed=seed,
     )
+
+
+def compute_and_verify_surface(
+    model: CompetitionModel,
+    m: int | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 5_000,
+    samples: int = 1_000,
+    seed: int = 42,
+) -> tuple[RadialSurface, SurfaceVerification]:
+    """:func:`compute_carrying_simplex`, then :func:`verify_surface` at ``seed``,
+    with the asymptotic check's trajectories stepped inside the sweeps.
+
+    Until those have taken ``ASYMPTOTIC_STEPS`` steps or repeated a state,
+    each sweep steps the node points and the check's states in one
+    ``model.step`` call, and the check reads those steps back instead of
+    taking them again (see ``_RidingOrbits``).  The results, and any error,
+    are those of the two calls made one after the other.
+    """
+    q = model.verified_axial_fixed_points()
+    riding = _RidingOrbits(model, _asymptotic_starts(q, seed))
+    surface = compute_carrying_simplex(riding, m=m, tol=tol, max_iter=max_iter)
+    riding.riding = False
+    return surface, verify_surface(surface, riding, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

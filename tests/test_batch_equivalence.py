@@ -1027,9 +1027,8 @@ def reference_tangent(table, x0):
     """l and D = dl/dx0 of the RK4 map over a stage table, by the plain
     species-major loop that forms every stage afresh: its argument, its exp,
     the increment and the tangent stage A (exp(l) (x0 D_j + e_j)) of every
-    column j, all columns as one stacked product.  A model's table also lists
-    each step's operands; they are taken here from ``b`` and ``a``."""
-    t0, h, b, a, *_ = table
+    column j, all columns as one stacked product."""
+    t0, h, b, a = table
     half, sixth = 0.5 * h, h / 6.0
     x0_cols = np.atleast_2d(x0).T.copy()
     n, N = x0_cols.shape
@@ -1213,9 +1212,9 @@ def _stacking_model(family, n):
     return PoincareMapModel(random_fourier_system(rng, n, 2), IntegrationConfig(steps))
 
 
-# the resolutions whose node rows the CLI stacks: the default m, and the
-# benchmark's m = 24 and 16 for three species
-STACKED_M = {1: [1], 2: [64], 3: [24, 16]}
+# the resolutions whose node rows the CLI stacks: the default m, the
+# benchmark's m = 24 and 16 for three species, and the narrowest grids
+STACKED_M = {1: [1], 2: [2, 3, 4, 8, 64], 3: [2, 3, 4, 8, 16, 24]}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1236,34 +1235,34 @@ def test_stacked_step_matches_each_part(family, n):
         assert np.array_equal(stacked[len(points) :], model.step(parts[0])), (family, n)
 
 
-# (model or fixture name, compute_carrying_simplex keywords) of each case
+# (model or fixture name, compute_carrying_simplex keywords, steps the
+# starts are advanced by before the surface) of each case
 RIDING_CASES = {
-    "periodic64": ("periodic64", {}),
-    "may2": ("may2", {}),
-    "neural2": ("neural2", {}),
-    "may1_b3": ("may1_b3", {}),
-    "planar-24": (PLANAR, {"m": 24}),
-    "overshoot-16": (OVERSHOOT, {"m": 16}),
-    # starts 130 steps on: they repeat within 12 steps, before the 41st sweep
-    "finish-first": ("may2", {}),
+    "periodic64": ("periodic64", {}, 0),
+    "may2": ("may2", {}, 0),
+    "neural2": ("neural2", {}, 0),
+    "may1_b3": ("may1_b3", {}, 0),
+    "planar-24": (PLANAR, {"m": 24}, 0),
+    "overshoot-16": (OVERSHOOT, {"m": 16}, 0),
+    # they repeat within 12 steps, before the 41st sweep
+    "finish-first": ("may2", {}, 130),
     # no start repeats within 400 steps, and the surface sweeps 300 times
-    "half-in-sweeps": ("lg2", {"tol": 1e-300, "max_iter": 300}),
+    "half-in-sweeps": ("lg2", {"tol": 1e-300, "max_iter": 300}, 0),
 }
 
 
 @pytest.mark.parametrize("name", list(RIDING_CASES))
 def test_ridden_orbits_match_the_unridden_check(name, request):
-    model, kwargs = RIDING_CASES[name]
+    model, kwargs, advance = RIDING_CASES[name]
     model = request.getfixturevalue(model) if isinstance(model, str) else model
-    q = model.verified_axial_fixed_points()
-    starts = simplex._asymptotic_starts(q, 42)
-    if name == "finish-first":
-        for _ in range(130):
-            starts = model.step(starts)
-    orbits = simplex._Orbits(starts, q)
-    ridden = compute_carrying_simplex(model, orbits=orbits, **kwargs)
-    rode, half_in_sweeps = orbits.steps, orbits.half is not None
-    stats = simplex.asymptotic_check(ridden, model, orbits)
+    starts = simplex._asymptotic_starts(model.verified_axial_fixed_points(), 42)
+    for _ in range(advance):
+        starts = model.step(starts)
+    riding = simplex._RidingOrbits(model, starts)
+    ridden = compute_carrying_simplex(riding, **kwargs)
+    riding.riding = False
+    rode = len(riding.path) - 1
+    stats = simplex.asymptotic_check(ridden, riding, starts)
     surface = compute_carrying_simplex(model, **kwargs)
     reference = simplex.asymptotic_check(surface, model, starts)
 
@@ -1272,12 +1271,26 @@ def test_ridden_orbits_match_the_unridden_check(name, request):
     for field in dataclasses.fields(simplex.AsymptoticStats):
         ours, theirs = getattr(stats, field.name), getattr(reference, field.name)
         assert np.array_equal(ours, theirs), field.name
-    # every sweep until the orbits were done carried them
-    assert rode == min(ridden.iterations, orbits.steps) > 0
+    # every sweep until the orbits were done carried them, and the check
+    # read every step they took there
+    assert 0 < rode == riding.read
+    repeated = riding.path[-1].tobytes() == riding.path[-2].tobytes()
+    assert rode == ridden.iterations or rode == simplex.ASYMPTOTIC_STEPS or repeated
     if name == "finish-first":
-        assert rode < ridden.iterations and ridden.converged
+        assert rode < ridden.iterations and ridden.converged and repeated
     if name == "half-in-sweeps":
-        assert half_in_sweeps and rode == 300 and orbits.steps == simplex.ASYMPTOTIC_STEPS
+        assert rode == 300 > simplex.ASYMPTOTIC_STEPS // 2 and not repeated
+
+
+@pytest.mark.parametrize("name", ["periodic64", "may2", "may1_b3"])
+def test_compute_and_verify_surface_matches_the_two_calls(name, request):
+    model = request.getfixturevalue(name)
+    surface, verification = simplex.compute_and_verify_surface(model, samples=200, seed=3)
+    reference = compute_carrying_simplex(model)
+    assert np.array_equal(surface.radii, reference.radii)
+    assert surface.metadata() == reference.metadata()
+    expected = simplex.verify_surface(reference, model, samples=200, seed=3)
+    assert verification.to_dict() == expected.to_dict()
 
 
 # ---------------------------------------------------------------------------

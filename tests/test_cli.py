@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carrysim.cli import MAX_BATCH_ENTRIES, main
+from carrysim.cli import MAX_BATCH_ENTRIES, MAX_SWEEP_EVALUATIONS, main
 from carrysim.modelio import LoadedModel
 from carrysim.models import MayOsterModel, ModelEvaluationError
 from carrysim.periodic import MAX_STEPS_PER_INTEGRATION, PoincareMapModel
@@ -252,20 +252,37 @@ def test_sweep_at_the_batch_bound_is_accepted(argv, monkeypatch):
         main([*SWEEP, *argv])
 
 
-def test_sweep_steps_above_the_integration_bound_are_a_usage_error(
-    tmp_path, capsys, monkeypatch
-):
+# (the flags refused, its error line, the flags at the bound) of each time bound
+SWEEP_TIME_BOUNDS = {
+    "steps": (
+        ["--b-count", "1", "--steps", str(MAX_STEPS_PER_INTEGRATION + 1)],
+        "error: --steps: at most 1048576 map steps, got 1048577",
+        ["--b-count", "1", "--steps", str(MAX_STEPS_PER_INTEGRATION)],
+    ),
+    # a tail of one value per b passes the batch bound at 2^26 b values
+    "steps-x-b-count": (
+        ["--b-count", str(MAX_BATCH_ENTRIES), "--steps", str(MAX_STEPS_PER_INTEGRATION)],
+        "error: --steps x --b-count: at most 68719476736 map evaluations, got 70368744177664",
+        ["--b-count", str(MAX_SWEEP_EVALUATIONS // MAX_STEPS_PER_INTEGRATION),
+         "--steps", str(MAX_STEPS_PER_INTEGRATION)],
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("bound", list(SWEEP_TIME_BOUNDS))
+def test_sweep_above_a_time_bound_is_a_usage_error(bound, tmp_path, capsys, monkeypatch):
+    refused, line, at_bound = SWEEP_TIME_BOUNDS[bound]
+
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep_1d was called")
 
     monkeypatch.setattr("carrysim.cli.sweep_1d", no_sweep)
-    argv = [*SWEEP, "--record", "1", "--b-count", "1", "--steps"]
-    assert main([*argv, str(MAX_STEPS_PER_INTEGRATION + 1), "--out", str(tmp_path / "s.csv")]) == 64
-    err = capsys.readouterr().err
-    assert err == "error: --steps: at most 1048576 map steps, got 1048577\n"
+    argv = [*SWEEP, "--record", "1"]
+    assert main([*argv, *refused, "--out", str(tmp_path / "s.csv")]) == 64
+    assert capsys.readouterr().err == line + "\n"
     assert not list(tmp_path.iterdir())
     with pytest.raises(AssertionError, match="sweep_1d was called"):
-        main([*argv, str(MAX_STEPS_PER_INTEGRATION)])
+        main([*argv, *at_bound])
 
 
 @pytest.mark.parametrize(
