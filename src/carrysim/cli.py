@@ -1,8 +1,11 @@
 """Command-line interface: check, simplex, simulate, sweep1d, wangjiang.
 
 All randomness flows through one seed (default 42) echoed into every output;
-identical flags and seed produce byte-identical files.  Exit codes, 0 where
-no rule below applies:
+identical flags and seed produce byte-identical files.  In a ``check``
+report, ``pass`` means proved or evaluated exactly, with the theorem or bound
+that proves it named in the record's note (C4 and A1-A4 of a periodic model,
+where they apply), and ``pass_sampled`` means it held on every sample.  Exit
+codes, 0 where no rule below applies:
 
 - ``check``: 1 when any condition fails, else 2 when any is inconclusive.
 - ``simplex``: 1 when the criteria pre-check has a fail (``--force`` skips

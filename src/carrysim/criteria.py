@@ -4,8 +4,9 @@ Each checker returns a :class:`ConditionResult` whose ``id`` matches the
 report contract (C0..C5 core hypotheses, Eq3a/Eq3b column/row-sum bounds,
 Eq4 the spectral-radius bound on the box (0, q], InvPos inverse positivity,
 Model the family-specific closed-form criterion).  Continuum conditions are
-sampled and honestly labeled ``pass_sampled``; a fail always carries a
-witness that reproduces the violation.
+sampled and honestly labeled ``pass_sampled``, unless a theorem proves them,
+which the ``pass`` record's note names; a fail always carries a witness that
+reproduces the violation.
 """
 
 from __future__ import annotations
@@ -358,16 +359,36 @@ def check_retrotone(
 
 def check_axial(model: CompetitionModel) -> ConditionResult:
     """Axial fixed points exist, satisfy T(q_i e_i) = q_i e_i, and attract
-    on their axis (checked from 0.1 q_i and 2 q_i).
+    on their axis.
 
-    All 2n axis starts iterate as one batch for ``AXIAL_STEPS``; a row stops
-    updating once it is within ``AXIAL_TOL`` of q_i.  A fail reports the
-    first failing (i, start) pair in the order i = 1..n, 0.1 q_i before 2 q_i.
+    Where ``model.exact_axial_fixed_points`` proves that the exact map's
+    q_exact attracts its whole axis, and q is within ``AXIAL_TOL`` *
+    max(1, q_exact) of it on every axis, C4 is a ``pass`` whose ``worst`` is
+    the vertex error max |q - q_exact|.  Otherwise it is sampled from 0.1 q_i
+    and 2 q_i: all 2n axis starts iterate as one batch for ``AXIAL_STEPS``,
+    and a row stops updating once it is within ``AXIAL_TOL`` of q_i.  A fail
+    reports the first failing (i, start) pair in the order i = 1..n, 0.1 q_i
+    before 2 q_i.
     """
     try:
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError) as exc:
         return ConditionResult("C4", "fail", witness=str(exc), note="no axial fixed point")
+
+    q_exact = model.exact_axial_fixed_points()
+    if q_exact is not None:
+        error = np.abs(q - q_exact)
+        if np.all(error < AXIAL_TOL * np.maximum(1.0, q_exact)):
+            worst = float(error.max())
+            return ConditionResult(
+                "C4",
+                "pass",
+                worst=worst,
+                witness={"q": q},
+                note="proved for the exact period map: on each axis it is Beverton-Holt "
+                "x -> C x / (1 + a x) with C > 1 and a > 0, which attracts every x > 0 "
+                f"to q_exact; vertex error max |q - q_exact| = {worst:.3g}",
+            )
 
     axis = np.repeat(np.arange(model.n), 2)
     starts = np.column_stack([0.1 * q, 2.0 * q]).ravel()

@@ -56,8 +56,9 @@ def _check_batch(x, n: int) -> np.ndarray:
 
 class CompetitionModel:
     """Base class: one map step is T(x) = x * growth(x).  A family implements
-    ``growth``, ``growth_and_jacobian`` and ``axial_fixed_points``; the base
-    derives ``growth_jacobian``, ``step``, ``axis_step``, ``step_jacobian`` and
+    ``growth``, ``growth_and_jacobian`` and ``axial_fixed_points``, and may
+    override ``exact_axial_fixed_points``; the base derives
+    ``growth_jacobian``, ``step``, ``axis_step``, ``step_jacobian`` and
     ``verified_axial_fixed_points`` from them."""
 
     n: int
@@ -77,6 +78,12 @@ class CompetitionModel:
     def axial_fixed_points(self) -> np.ndarray:
         """The vector q with q_i the positive fixed point of T on axis i."""
         raise NotImplementedError
+
+    def exact_axial_fixed_points(self) -> np.ndarray | None:
+        """q of the exact map that this model discretizes, where a theorem shows
+        that each q_i attracts every positive start on its axis; else None.  A
+        closed form is its own exact map, and none has such a proof here."""
+        return None
 
     def step(self, x) -> np.ndarray:
         """Apply the map once.  Coordinate i is exactly 0 whenever x_i = 0."""

@@ -13,12 +13,15 @@ is one product A(t) @ u of the tabulated matrix with all N states, written
 with the rest of the stage into buffers allocated once per call.  The same
 loop can carry the tangent dl/dx0 of the discrete map, which gives the exact
 growth Jacobian of the Poincare map and the Newton slope for its axial fixed
-points; its stages reuse the exp(l) of the l stages.
+points; its stages reuse the exp(l) of the l stages.  On an axis the system
+is a logistic equation with a closed-form period map, whose fixed point
+``PoincareMapModel.exact_axial_fixed_points`` gives by quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,6 +55,7 @@ class FourierSeries:
         return max(len(self.cos), len(self.sin))
 
 
+FOURIER_BOUND = "c -/+ sum_k sqrt(a_k^2 + b_k^2)"  # of a series c + sum_k (a_k cos + b_k sin)
 MAX_STEPS_PER_PERIOD = 65_536  # bounds a period's stage table at 3 * 65,536 * (n + 1) n floats
 # bounds one integration's stage table at 3 * 2**20 * (n + 1) n floats
 MAX_STEPS_PER_INTEGRATION = 1 << 20
@@ -119,6 +123,27 @@ class PeriodicLVSystem:
         self._a_sin = np.array(
             [[pad(a.sin) for a in row] for row in self.A]
         ).reshape(self.n, self.n, K)
+
+    def coefficient_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of B_i(t) and A_ij(t) over all t, shapes (2, n) and (2, n, n):
+        lower then upper, c -/+ sum_k sqrt(a_k^2 + b_k^2) for each series.
+
+        A series with harmonics has its amplitude sum widened by its rounding
+        (hypot within an ulp, K terms summed) and c -/+ it moved one ulp out,
+        so the bounds hold for the series as given; a constant is its own bound.
+        """
+
+        widen = 1.0 + 2.0 * (self._K + 2) * np.finfo(float).eps
+
+        def bounds(const, cos, sin):
+            amp = np.hypot(cos, sin).sum(axis=-1) * widen
+            lower = np.where(amp > 0.0, np.nextafter(const - amp, -np.inf), const)
+            upper = np.where(amp > 0.0, np.nextafter(const + amp, np.inf), const)
+            return np.stack([lower, upper])
+
+        return bounds(self.b_const, self._b_cos, self._b_sin), bounds(
+            self.a_const, self._a_cos, self._a_sin
+        )
 
     def coefficients_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(B(t), A(t)) at a time or an array of times, shapes t.shape + (n,)
@@ -293,6 +318,32 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
+GAUSS_POINTS = 64  # Gauss-Legendre nodes of the exact axis map's integral
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``GAUSS_POINTS``-point Gauss-Legendre rule on
+    [0, 1].  The nodes on [-1, 1] are the roots of the Legendre polynomial
+    P, by Newton's method from cos(pi (k - 1/4) / (P + 1/2)) with P and P'
+    from the three-term recurrence, and the weights are 2 / ((1 - x^2) P'^2).
+    Four steps reach the rounding floor at 64 points; six are taken.  The
+    rule is made of ufunc calls, so no LAPACK routine is paged in; it is
+    built once per process, read-only."""
+    p = GAUSS_POINTS
+    x = np.cos(np.pi * (np.arange(1, p + 1) - 0.25) / (p + 0.5))
+    for _ in range(6):
+        prev, legendre = np.ones_like(x), x
+        for k in range(2, p + 1):
+            prev, legendre = legendre, ((2 * k - 1) * x * legendre - (k - 1) * prev) / k
+        slope = p * (x * legendre - prev) / (x * x - 1.0)
+        x = x - legendre / slope
+    t, w = 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope * slope)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 AXIAL_Q_TOL = 1e-13  # relative Newton step at which the axis solve for q stops
 AXIAL_Q_MAX_ITER = 10_000
 
@@ -322,6 +373,37 @@ class PoincareMapModel(CompetitionModel):
         ell, d_ell = _log_gain(self._table, np.asarray(x, dtype=float), tangent=True)
         g = np.exp(ell)
         return g, g[..., :, None] * d_ell
+
+    def exact_axial_fixed_points(self) -> np.ndarray | None:
+        """q of the exact period map, where it attracts its whole axis; else None.
+
+        On axis i the system is the logistic equation x' = x (B_i(t) - A_ii(t) x),
+        linear in 1/x, so its period map is Beverton-Holt, x -> C x / (1 + a x),
+        with C = exp(int_0^1 B_i) and a = int_0^1 A_ii(s) exp(int_0^s B_i) ds.
+        The theorem applies when C > 1 (``b_const`` > 0) and the Fourier lower
+        bound of every A_ii is > 0: then a > 0, 1/x stays positive, and
+        q_i = (C - 1) / a attracts every x > 0.  int_0^s B_i is the series'
+        antiderivative and the outer integral takes ``_gauss_legendre``, which
+        cannot resolve the boundary layer of exp(int_0^s B_i) at s = 1 for a
+        large ``b_const`` (hundreds); ``check_axial`` then finds q_exact far
+        from the RK4 map's q and samples C4 instead.
+        """
+        system = self.system
+        _, (a_lower, _) = system.coefficient_bounds()
+        if not (np.all(system.b_const > 0.0) and np.all(np.diagonal(a_lower) > 0.0)):
+            return None
+        t, w = _gauss_legendre()
+        freq = 2.0 * np.pi * np.arange(1, system._K + 1)
+        angles = freq * t[:, None]
+        int_b = (
+            system.b_const * t[:, None]
+            + (np.sin(angles) / freq) @ system._b_cos.T
+            + ((1.0 - np.cos(angles)) / freq) @ system._b_sin.T
+        )
+        _, a = system.coefficients_at(t)
+        # (C - 1) / a, both divided by C so that neither overflows
+        scaled_a = w @ (np.diagonal(a, axis1=1, axis2=2) * np.exp(int_b - system.b_const))
+        return -np.expm1(-system.b_const) / scaled_a
 
     @np.errstate(divide="ignore", invalid="ignore")
     def axial_fixed_points(self) -> np.ndarray:
@@ -373,14 +455,55 @@ A_TIME_SAMPLES = 1024  # uniform times per period at which A1-A4 are checked
 
 
 def check_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
-    """Competitive-structure conditions of the periodic LV form on a time grid.
+    """Competitive-structure conditions of the periodic LV form for all t.
 
     A1 total competition (A_ij >= 0), A2 strong self-competition (diagonal
     sums over any support stay positive; singleton supports are the binding
     case, so the diagonal itself must be positive), A3 decrease of large
     populations with the explicit per-species threshold, A4 increase of
     small populations (B_i > 0).
+
+    Each condition is first tried by ``coefficient_bounds``: a lower bound
+    >= 0 (A1) or > 0 (A2, A4) proves it for all t, a ``pass`` with the bound
+    as ``worst``, and A3's threshold is max(upper B_i, 0) / lower A_ii once
+    every lower A_ii is > 0.  A condition the bounds cannot prove is sampled
+    at ``A_TIME_SAMPLES`` times, as ``_sampled_a_conditions`` does.
     """
+    (b_lower, b_upper), (a_lower, _) = system.coefficient_bounds()
+    diag_lower = np.diagonal(a_lower)
+
+    def proved(cond_id: str, bound: np.ndarray, strict: bool, claim: str):
+        worst = float(bound.min())
+        if worst > 0.0 or (worst == 0.0 and not strict):
+            note = f"{claim} for all t by the Fourier bound {FOURIER_BOUND}: lowest {worst:.6g}"
+            return ConditionResult(cond_id, "pass", worst=worst, note=note)
+        return None
+
+    a3 = None
+    if diag_lower.min() > 0.0:
+        thresholds = np.maximum(b_upper, 0.0) / diag_lower
+        a3 = ConditionResult(
+            "A3",
+            "pass",
+            worst=float(thresholds.max()),
+            witness={"thresholds": thresholds.tolist()},
+            note="G_i(t, x) < 0 for all t once x_i exceeds the reported threshold, "
+            f"max(upper B_i, 0) / lower A_ii by the Fourier bound {FOURIER_BOUND}",
+        )
+    records = [
+        proved("A1", a_lower, False, "A_ij(t) >= 0"),
+        proved("A2", diag_lower, True, "A_ii(t) > 0"),
+        a3,
+        proved("A4", b_lower, True, "B_i(t) > 0"),
+    ]
+    if all(records):
+        return records
+    return [r or s for r, s in zip(records, _sampled_a_conditions(system))]
+
+
+def _sampled_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
+    """A1-A4 on ``A_TIME_SAMPLES`` uniform times per period, ``pass_sampled``
+    when they hold there."""
     t = np.arange(A_TIME_SAMPLES) / A_TIME_SAMPLES
     b, a = system.coefficients_at(t)
     diag = np.diagonal(a, axis1=1, axis2=2)  # (T, n)

@@ -766,11 +766,14 @@ def sweep_1d(
 
     Each of the ``b_count`` values of b iterates from x0 = 0.1 b/a for
     ``steps`` iterations and keeps its last ``record`` values in ``tail``.
-    Its ``code`` is 0, "converges", when the last iterate is within
-    ``SWEEP_TOL`` of b/a, else 1, "divergent", when the tail is not finite,
-    else 3, "periodic", when it revisits itself to that tolerance with a
-    ``period`` <= ``SWEEP_MAX_PERIOD``, else 2, "non-convergent" (no
-    carrying-simplex claim is made between the known thresholds).
+    Its ``code`` is 0, "converges", when b <= 2, where b/a attracts every
+    x > 0 (Cull 1981, Bull. Math. Biol. 43): near b = 2 the multiplier 1 - b
+    nears -1, and the last iterate can still be far from b/a.  Above 2 it is
+    0 when the last iterate is within ``SWEEP_TOL`` of b/a, else 1,
+    "divergent", when the tail is not finite, else 3, "periodic", when it
+    revisits itself to that tolerance with a ``period`` <=
+    ``SWEEP_MAX_PERIOD``, else 2, "non-convergent" (no carrying-simplex claim
+    is made between the known thresholds).
     """
     if a <= 0.0:
         raise ValueError("a must be > 0")
@@ -791,7 +794,8 @@ def sweep_1d(
 
     # inf -> inf * e^-inf = nan -> nan: a tail not finite somewhere is not at its end
     finite = np.isfinite(tail[-1])
-    converges = np.abs(tail[-1] - bs / a) < SWEEP_TOL  # false where not finite
+    # the distance test is false where the tail is not finite
+    converges = (bs <= 2.0) | (np.abs(tail[-1] - bs / a) < SWEEP_TOL)
     period = _detect_period(tail, np.flatnonzero(finite & ~converges))
     code = np.select([converges, ~finite, period == 0], [0, 1, 2], 3).astype(np.int8)
     return Sweep(a, bs, code, period, tail)

@@ -23,7 +23,7 @@ from carrysim.criteria import (
 )
 from carrysim.modelio import load_model_file
 from carrysim.models import LeslieGowerModel, MayOsterModel, NeuralNetModel
-from carrysim.periodic import IntegrationConfig
+from carrysim.periodic import IntegrationConfig, check_a_conditions
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -387,6 +387,38 @@ class TestFullReport:
             assert conditions[cond_id].note.startswith("competition matrix undefined")
         assert conditions["InvPos"].seed == 7
         assert conditions["Eq4"].seed is None
+
+
+BUNDLED = ["leslie2", "may1_b3", "may2", "neural2", "periodic_lv2"]
+PROVED_BY = {"C4": "Beverton-Holt", "A1": "Fourier bound", "A2": "Fourier bound",
+             "A3": "Fourier bound", "A4": "Fourier bound"}  # fmt: skip
+
+
+def bundled_records(name):
+    """The A1-A4 records of a periodic model, then every criterion, as ``check`` runs them."""
+    loaded = load_model_file(MODELS / f"{name}.json")
+    a_conditions = [] if loaded.system is None else check_a_conditions(loaded.system)
+    model = loaded.map_model(IntegrationConfig(64))
+    return a_conditions + run_criteria(model, grid_resolution=4, samples=300, seed=3)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_proved_pass_names_its_proof(name):
+    # C0 evaluates G(0) exactly and Model is a closed-form criterion; every
+    # other bare pass is a theorem or a bound, named in its note
+    proved = [
+        r for r in bundled_records(name) if r.verdict == "pass" and r.id not in ("C0", "Model")
+    ]
+    for record in proved:
+        assert PROVED_BY[record.id] in record.note, record.id
+    if name == "periodic_lv2":
+        assert sorted(r.id for r in proved) == sorted(PROVED_BY)
+
+
+@pytest.mark.parametrize("name", ["leslie2", "may1_b3", "may2", "neural2"])
+def test_closed_forms_prove_nothing_from_c1_to_invpos(name):
+    sampled = {"C1", "C2", "C3", "C4", "C5", "Eq3a", "Eq3b", "Eq4", "InvPos"}
+    assert not [r.id for r in bundled_records(name) if r.id in sampled and r.verdict == "pass"]
 
 
 def test_eq3_and_eq4_share_one_evaluation_of_the_grid(monkeypatch):

@@ -2,6 +2,8 @@
 the standard library, even where the test environment has more installed."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +34,20 @@ def test_carrysim_imports_only_numpy_and_the_standard_library():
         path.name: sorted(imported_packages(path.read_text()) - ALLOWED) for path in modules
     }
     assert {name: roots for name, roots in outside.items() if roots} == {}
+
+
+def test_import_and_the_exact_axis_map_load_neither_numpy_polynomial_nor_scipy():
+    # both cost set-up time and memory in every fresh interpreter
+    program = (
+        "import sys, carrysim\n"
+        "model = carrysim.load_model_file(sys.argv[1]).map_model(carrysim.IntegrationConfig(64))\n"
+        "assert model.exact_axial_fixed_points() is not None\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'scipy'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    model = PACKAGE.parents[1] / "models" / "periodic_lv2.json"
+    result = subprocess.run(
+        [sys.executable, "-c", program, str(model)],
+        env=env, capture_output=True, text=True, check=True,
+    )  # fmt: skip
+    assert result.stdout == "[]\n"

@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carrysim.criteria import run_criteria
+from carrysim.criteria import AXIAL_TOL, check_axial, run_criteria
 from carrysim.modelio import load_model_file
-from carrysim.models import ModelParameterError
+from carrysim.models import MayOsterModel, ModelParameterError
 from carrysim.periodic import (
     FourierSeries,
     IntegrationConfig,
     PeriodicLVSystem,
     PoincareMapModel,
+    _sampled_a_conditions,
     check_a_conditions,
     integrate,
     wang_jiang_check,
@@ -191,11 +192,143 @@ class TestPoincareMap:
             pm.axial_fixed_points()
 
 
+def periodic_lv2_with(a22: FourierSeries) -> PeriodicLVSystem:
+    """The bundled periodic_lv2 system with A_22 replaced."""
+    return PeriodicLVSystem(
+        [FourierSeries(1.0, cos=(0.2,)), FourierSeries(0.8, sin=(0.1,))],
+        [[FourierSeries(1.0), FourierSeries(0.3)], [FourierSeries(0.2), a22]],
+    )
+
+
+class TestExactAxisMap:
+    def test_rk4_q_approaches_it_at_the_fourth_order_rate(self):
+        gaps = []
+        for steps in (64, 256, 1024):
+            pm = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(steps))
+            gaps.append(np.abs(pm.axial_fixed_points() - pm.exact_axial_fixed_points()).max())
+        assert gaps[0] <= 1e-8 and gaps[2] <= 1e-12
+        assert 128.0 <= gaps[0] / gaps[1] <= 512.0  # 4^4 = 256 per quartered step
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            periodic_lv2_with(FourierSeries(1.1, cos=(0.05,))),
+            PeriodicLVSystem(
+                [FourierSeries(0.9, cos=(0.3, 0.1), sin=(0.2, -0.15)), FourierSeries(2.5)],
+                [
+                    [FourierSeries(1.2, cos=(-0.4,), sin=(0.0, 0.3)), FourierSeries(0.1)],
+                    [FourierSeries(0.1), FourierSeries(0.7, sin=(0.2,))],
+                ],
+            ),
+        ],
+        ids=["periodic_lv2", "two_harmonics"],
+    )
+    def test_matches_quadrature(self, system):
+        # q_i = (e^{int B_i} - 1) / int_0^1 A_ii(s) e^{int_0^s B_i} ds, by
+        # adaptive quadrature, the inner integral too
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def coefficient(t, i):
+            b, a = system.coefficients_at(t)
+            return b[i], a[i, i]
+
+        exact = PoincareMapModel(system, IntegrationConfig(64)).exact_axial_fixed_points()
+        for i in range(system.n):
+            int_b = lambda s: quad(lambda u: coefficient(u, i)[0], 0.0, s, epsabs=1e-14)[0]
+            denom = quad(
+                lambda s: coefficient(s, i)[1] * np.exp(int_b(s)), 0.0, 1.0, epsabs=1e-14
+            )[0]
+            assert exact[i] == pytest.approx(np.expm1(system.b_const[i]) / denom, rel=1e-13)
+
+    def test_a_large_mean_gain_does_not_overflow(self):
+        # C = e^720 is not a float; (C - 1) / a is formed with both divided by C
+        system = PeriodicLVSystem([FourierSeries(720.0, cos=(1.0,))], [[1.0]])
+        q_exact = PoincareMapModel(system, IntegrationConfig(64)).exact_axial_fixed_points()
+        assert q_exact[0] == pytest.approx(721.0, rel=1e-5)
+
+    def test_is_none_where_the_theorem_does_not_apply(self):
+        mean_loss = PeriodicLVSystem([FourierSeries(-0.5, cos=(0.1,))], [[1.0]])
+        no_gain = PeriodicLVSystem([FourierSeries(0.0, cos=(0.1,))], [[1.0]])
+        dipping = periodic_lv2_with(FourierSeries(0.05, cos=(0.1,)))
+        for system in (mean_loss, no_gain, dipping):
+            model = PoincareMapModel(system, IntegrationConfig(64))
+            assert model.exact_axial_fixed_points() is None
+        assert MayOsterModel([0.5], [[1.0]]).exact_axial_fixed_points() is None
+
+    @pytest.mark.parametrize("steps", [64, 256])
+    def test_proves_c4_with_the_vertex_error_as_worst(self, steps):
+        pm = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(steps))
+        q, q_exact = pm.verified_axial_fixed_points(), pm.exact_axial_fixed_points()
+        c4 = check_axial(pm)
+        assert (c4.verdict, c4.samples) == ("pass", 0)
+        assert c4.worst == np.abs(q - q_exact).max() < 1e-8
+        assert c4.witness["q"] is q
+        assert "Beverton-Holt" in c4.note and f"{c4.worst:.3g}" in c4.note
+
+    @pytest.mark.parametrize("b_const", [-0.5, 0.0])
+    def test_c4_without_a_positive_mean_gain_still_fails(self, b_const):
+        system = PeriodicLVSystem([FourierSeries(b_const, cos=(0.1,))], [[1.0]])
+        c4 = check_axial(PoincareMapModel(system, IntegrationConfig(64)))
+        assert (c4.verdict, c4.note) == ("fail", "no axial fixed point")
+        assert c4.witness.startswith("no axial fixed point for species 1")
+
+    def test_c4_is_sampled_where_the_self_competition_dips(self):
+        system = periodic_lv2_with(FourierSeries(0.05, cos=(0.1,)))
+        c4 = check_axial(PoincareMapModel(system, IntegrationConfig(64)))
+        assert (c4.verdict, c4.samples, c4.note) == ("pass_sampled", 4000, "")
+
+    def test_c4_is_sampled_when_the_vertex_error_reaches_the_tolerance(self, monkeypatch):
+        pm = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
+        q = pm.verified_axial_fixed_points()
+        monkeypatch.setattr(pm, "exact_axial_fixed_points", lambda: None)
+        sampled = check_axial(pm).to_record()
+        assert sampled["verdict"] == "pass_sampled"
+        offset = np.array([0.0, AXIAL_TOL])  # q_2 < 1: the tolerance is AXIAL_TOL itself
+        monkeypatch.setattr(pm, "exact_axial_fixed_points", lambda: q + 1.5 * offset)
+        assert check_axial(pm).to_record() == sampled
+        monkeypatch.setattr(pm, "exact_axial_fixed_points", lambda: q + 0.5 * offset)
+        assert check_axial(pm).verdict == "pass"
+
+
 class TestAConditions:
     def test_competitive_instance_passes(self, vlper2):
         records = check_a_conditions(vlper2)
         assert [r.id for r in records] == ["A1", "A2", "A3", "A4"]
-        assert all(r.verdict == "pass_sampled" for r in records)
+        assert all((r.verdict, r.samples) == ("pass", 0) for r in records)
+        assert all("Fourier bound" in r.note for r in records)
+        # constant coefficients are their own bounds: A_21 = 0.2 and A_11 = 1
+        assert (records[0].worst, records[1].worst) == (0.2, 1.0)
+        # B_2 = 0.8 + 0.1 sin: the bound sits just below 0.7 after rounding
+        assert 0.7 - 1e-15 < records[3].worst < 0.7
+
+    def test_bounds_hold_at_every_time(self):
+        rng = np.random.default_rng(11)
+        t = np.arange(4096) / 4096
+        for _ in range(20):
+            system = random_competitive_system(rng, 3)
+            (b_lower, b_upper), (a_lower, a_upper) = system.coefficient_bounds()
+            b, a = system.coefficients_at(t)
+            assert np.all(b_lower <= b.min(axis=0)) and np.all(b.max(axis=0) <= b_upper)
+            assert np.all(a_lower <= a.min(axis=0)) and np.all(a.max(axis=0) <= a_upper)
+            # one harmonic each: the bounds are attained, up to the time grid
+            assert np.allclose(b_lower, b.min(axis=0), rtol=0.0, atol=1e-5)
+            assert np.allclose(a_upper, a.max(axis=0), rtol=0.0, atol=1e-5)
+
+    def test_a_zero_interaction_is_proved_nonnegative(self):
+        system = PeriodicLVSystem(
+            [FourierSeries(1.0, cos=(0.5,)), FourierSeries(1.0)], [[1.0, 0.0], [0.0, 1.0]]
+        )
+        a1 = check_a_conditions(system)[0]
+        assert (a1.verdict, a1.worst) == ("pass", 0.0)
+
+    def test_conditions_the_bound_cannot_prove_are_sampled(self):
+        # A_22 = 0.3 + 0.2 cos + 0.2 cos 2: the bound is -0.1, the minimum 0.075
+        system = periodic_lv2_with(FourierSeries(0.3, cos=(0.2, 0.2)))
+        records = check_a_conditions(system)
+        sampled = _sampled_a_conditions(system)
+        assert [r.verdict for r in records] == ["pass_sampled"] * 3 + ["pass"]
+        assert [r.to_record() for r in records[:3]] == [r.to_record() for r in sampled[:3]]
+        assert records[0].worst == pytest.approx(0.075, abs=1e-6)
 
     def test_negative_interaction_caught(self):
         system = PeriodicLVSystem(
@@ -222,7 +355,7 @@ class TestAConditions:
 
     def test_a3_reports_thresholds(self, vlper2):
         a3 = check_a_conditions(vlper2)[2]
-        assert a3.verdict == "pass_sampled"
+        assert a3.verdict == "pass"
         thresholds = np.array(a3.witness["thresholds"])
         assert thresholds.shape == (2,)
         # beyond the threshold the per-capita growth is negative at all times

@@ -314,6 +314,15 @@ class TestSweep:
         name, _ = sweep_at(1.0, 1.5, steps=1000)
         assert name == "converges"
 
+    @pytest.mark.parametrize("a", [1.0, 0.3])
+    def test_the_period_doubling_threshold_converges(self, a):
+        # at b = 2 the multiplier is -1: after 1,000 steps the tail still
+        # alternates about b/a, but b/a attracts every x > 0 (Cull 1981)
+        name, sweep = sweep_at(a, 2.0, steps=1000)
+        assert name == "converges"
+        assert abs(sweep.tail[-1, 0] - 2.0 / a) > 1e-2
+        assert sweep_at(a, 2.0 + 1e-7, steps=1000)[0] == "non-convergent"
+
     def test_supercritical_two_cycle(self):
         name, sweep = sweep_at(1.0, 2.5, steps=1000)
         assert name == "periodic"
