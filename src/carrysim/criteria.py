@@ -22,6 +22,7 @@ from .models import (
     ModelEvaluationError,
     ModelParameterError,
     NeuralNetModel,
+    _reduce_columns,
     as_state,
 )
 
@@ -277,7 +278,7 @@ def check_sublinearity(
     rhs = model.step(lam[:, None] * pts)
     diff = rhs - lhs
     on_support = pts > 0.0
-    margins = np.where(on_support, diff, np.inf).min(axis=1)
+    margins = _reduce_columns(np.minimum, np.where(on_support, diff, np.inf))
 
     worst_idx = int(np.argmin(margins))
     worst = float(margins[worst_idx])
@@ -320,7 +321,7 @@ def check_retrotone(
 
     tx = model.step(xs)
     ty = model.step(ys)
-    accepted = np.all(tx >= ty, axis=1) & np.any(tx > ty, axis=1)
+    accepted = _reduce_columns(np.logical_and, tx >= ty) & _reduce_columns(np.logical_or, tx > ty)
     xs, ys = xs[accepted], ys[accepted]
     n_acc = int(xs.shape[0])
     if n_acc < RETROTONE_MIN_PAIRS:
@@ -334,9 +335,9 @@ def check_retrotone(
         )
 
     diffs = xs - ys
-    strict_margin = np.where(xs > 0.0, diffs, np.inf).min(axis=1)
-    dominated = np.all(diffs >= 0.0, axis=1)
-    order_margin = diffs.min(axis=1)
+    strict_margin = _reduce_columns(np.minimum, np.where(xs > 0.0, diffs, np.inf))
+    dominated = _reduce_columns(np.logical_and, diffs >= 0.0)
+    order_margin = _reduce_columns(np.minimum, diffs)
     margins = np.minimum(strict_margin, np.where(dominated, np.inf, order_margin))
 
     worst_idx = int(np.argmin(margins))
@@ -368,7 +369,7 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
     and 2 q_i: all 2n axis starts iterate as one batch for ``AXIAL_STEPS``,
     and a row stops updating once it is within ``AXIAL_TOL`` of q_i.  A fail
     reports the first failing (i, start) pair in the order i = 1..n, 0.1 q_i
-    before 2 q_i.
+    before 2 q_i, or the evaluation error that stopped the iteration.
     """
     try:
         q = model.verified_axial_fixed_points()
@@ -398,7 +399,10 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        x[rows] = model.axis_step(axis[rows], x[rows])
+        try:
+            x[rows] = model.axis_step(axis[rows], x[rows])
+        except ModelEvaluationError as exc:
+            return ConditionResult("C4", "fail", witness=str(exc), note="axis iteration failed")
         active[rows] = ~(np.abs(x[rows] - q[axis[rows]]) < AXIAL_TOL)
 
     gaps = np.abs(x - q[axis])
@@ -661,12 +665,15 @@ def run_criteria(
     """Run every condition checker; one record per id, C0 to Model in report order.
 
     A checker that needs q (C1-C3, C5, Eq3a/Eq3b, Eq4, InvPos) is
-    inconclusive when q cannot be verified, and so is one whose model
-    evaluation fails; C4 reports a missing q as its own failure.  The
-    verdict of the run is the caller's: any fail fails, then any
-    inconclusive is inconclusive.
+    inconclusive when q cannot be verified, and so is any checker whose model
+    evaluation fails, C0 included; C4 reports a missing q, or an evaluation
+    error in its axis iteration, as its own failure.  The verdict of the run
+    is the caller's: any fail fails, then any inconclusive is inconclusive.
     """
-    conditions = [check_c0(model)]
+    try:
+        conditions = [check_c0(model)]
+    except ModelEvaluationError as exc:
+        conditions = [ConditionResult("C0", "inconclusive", note=str(exc))]
     try:
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError):

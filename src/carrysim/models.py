@@ -45,6 +45,23 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _reduce_columns(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=1)`` of an (N, n) array, as one running ``ufunc``
+    over its n columns: ``np.minimum``, ``np.logical_and`` or ``np.logical_or``.
+
+    numpy runs a reduction along a short last axis many times slower than
+    this.  The result has the bits of ``x.min(axis=1)``, ``x.all(axis=1)`` or
+    ``x.any(axis=1)``, NaN and inf included, with one limit: from n = 9 on,
+    where a row's minimum is a zero and the row holds both -0.0 and 0.0,
+    numpy's reduction may return the other zero (measured with numpy 2.4.6,
+    whose SIMD loop picks differently).
+    """
+    out = x[:, 0].copy()
+    for k in range(1, x.shape[1]):
+        ufunc(out, x[:, k], out=out)
+    return out
+
+
 def _check_batch(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:

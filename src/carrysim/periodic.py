@@ -412,12 +412,16 @@ class PoincareMapModel(CompetitionModel):
         A row keeps the bracket lo < q < hi shown by the signs of l (l > 0
         below q); a step that leaves it, yet is not below ``AXIAL_Q_TOL``
         relative, becomes the bracket's midpoint, or 2 r while hi is unknown.
-        A row stops on such a small step or once r leaves [1e-12, 1e12].  Each
-        call solves afresh; ``verified_axial_fixed_points`` keeps the result.
+        A row stops on such a small step or once r leaves [1e-12, 1e12].  The
+        solve starts from ``exact_axial_fixed_points``, whose q is within the
+        RK4 vertex error of the root, where it gives one, else from b0 / a0.
+        Each call solves afresh; ``verified_axial_fixed_points`` keeps the result.
         """
         n = self.n
-        b0, a0 = self.system.b_const, np.diagonal(self.system.a_const)
-        r = np.where((b0 > 0) & (a0 > 0), b0 / a0, 1.0)
+        r = self.exact_axial_fixed_points()
+        if r is None:
+            b0, a0 = self.system.b_const, np.diagonal(self.system.a_const)
+            r = np.where((b0 > 0) & (a0 > 0), b0 / a0, 1.0)
         lo, hi = np.zeros(n), np.full(n, np.inf)
         active, converged = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         for _ in range(AXIAL_Q_MAX_ITER):

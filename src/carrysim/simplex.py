@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .models import CompetitionModel, ModelEvaluationError
+from .models import CompetitionModel, ModelEvaluationError, _reduce_columns
 
 ASYMPTOTIC_STARTS = 100  # random starts of the asymptotic check in verify_surface ...
 ASYMPTOTIC_STEPS = 400  # ... each iterated this often
@@ -468,17 +468,30 @@ def _unordered_sorted_2d(X: np.ndarray) -> UnorderedResult:
 
 
 def _unordered_bruteforce(X: np.ndarray) -> UnorderedResult:
-    N = X.shape[0]
+    """Every ordered pair (i, j), i != j, by its margin min_k (x_ik - x_jk);
+    the first largest margin is the worst.
+
+    A chunk of rows takes its (chunk, N) margins as a running ``np.minimum``
+    over the n coordinates' differences, not as ``min(axis=2)`` of a
+    (chunk, N, n) array: numpy reduces along that short axis about 8x
+    slower at n = 3.  The running minimum has the same bits, as in
+    ``_reduce_columns``: a difference of two coordinates is -0.0 only as
+    -0.0 - 0.0, and even then the sign of a zero margin can differ only
+    from n = 9 on.
+    """
+    N, n = X.shape
     chunk = max(1, int(2_000_000 // max(1, N)))
     worst = -np.inf
     points = None
     for start in range(0, N, chunk):
         blk = X[start : start + chunk]
-        margins = (blk[:, None, :] - X[None, :, :]).min(axis=2)
+        margins = np.subtract.outer(blk[:, 0], X[:, 0])
+        diff = np.empty_like(margins)
+        for k in range(1, n):
+            np.minimum(margins, np.subtract.outer(blk[:, k], X[:, k], out=diff), out=margins)
         rows = np.arange(start, start + blk.shape[0])
         margins[rows - start, rows] = -np.inf  # exclude self-comparison
-        k = int(np.argmax(margins))
-        i_loc, j = np.unravel_index(k, margins.shape)
+        i_loc, j = np.unravel_index(int(np.argmax(margins)), margins.shape)
         if margins[i_loc, j] > worst:
             worst = float(margins[i_loc, j])
             points = (blk[i_loc], X[j])
@@ -587,7 +600,7 @@ def asymptotic_check(
     gaps_half = None
     for k in range(1, ASYMPTOTIC_STEPS + 1):
         Y = model.step(X)
-        escaped |= np.any(Y > box, axis=1)
+        escaped |= _reduce_columns(np.logical_or, Y > box)
         if Y.tobytes() == X.tobytes():
             break
         X = Y
@@ -725,13 +738,18 @@ def compute_attractor_cloud(
     The cloud samples the global attractor, not the carrying simplex: no
     surface is reconstructed, and where the attractor is smaller than the
     simplex (an attracting interior equilibrium, say) the points collapse
-    onto it instead of spreading over the simplex.
+    onto it instead of spreading over the simplex.  As in
+    :func:`asymptotic_check`, the loop stops once a step returns its input
+    bit for bit: the step is deterministic, so every later state is that array.
     """
     rng = np.random.default_rng(seed)
     q = model.verified_axial_fixed_points()
     X = (0.05 + 1.45 * rng.random((n_points, model.n))) * q
     for _ in range(CLOUD_STEPS):
-        X = model.step(X)
+        Y = model.step(X)
+        if Y.tobytes() == X.tobytes():
+            break
+        X = Y
     return X
 
 

@@ -34,13 +34,14 @@ from carrysim.criteria import (
     competition_matrix,
     spectral_radius,
 )
-from carrysim import simplex
+from carrysim import periodic, simplex
 from carrysim.modelio import load_model_file
 from carrysim.models import (
     LeslieGowerModel,
     MayOsterModel,
     ModelParameterError,
     NeuralNetModel,
+    _reduce_columns,
     as_state,
 )
 from carrysim.periodic import (
@@ -383,6 +384,36 @@ def test_axial_q_safeguard_on_a_strongly_forced_axis():
     q, reference = model.axial_fixed_points(), reference_periodic_axial_q(model)
     assert np.allclose(q, reference, rtol=1e-12, atol=0.0)
     assert np.all(axis_residuals(model, q) <= axis_residuals(model, reference))
+
+
+def _axial_q_and_tangent_passes(model, monkeypatch):
+    """The Newton q of ``model`` and the number of tangent passes it took."""
+    passes = []
+    log_gain = periodic._log_gain
+
+    def counted(table, x0, **kwargs):
+        passes.append(kwargs.get("tangent", False))
+        return log_gain(table, x0, **kwargs)
+
+    monkeypatch.setattr(periodic, "_log_gain", counted)
+    q = model.axial_fixed_points()
+    monkeypatch.setattr(periodic, "_log_gain", log_gain)
+    return q, sum(passes)
+
+
+@pytest.mark.parametrize("steps", [64, 256, 1024])
+def test_axial_newton_from_q_exact_matches_the_unseeded_solve(steps, monkeypatch):
+    def fresh():
+        return load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(steps))
+
+    seeded = fresh()
+    assert seeded.exact_axial_fixed_points() is not None
+    q, passes = _axial_q_and_tangent_passes(seeded, monkeypatch)
+    unseeded = fresh()
+    monkeypatch.setattr(unseeded, "exact_axial_fixed_points", lambda: None)
+    reference, reference_passes = _axial_q_and_tangent_passes(unseeded, monkeypatch)
+    assert q.tobytes() == reference.tobytes()
+    assert 1 <= passes <= reference_passes // 2
 
 
 @pytest.mark.parametrize(
@@ -1205,6 +1236,27 @@ def test_asymptotic_check_matches_the_fixed_length_loop(name, request, monkeypat
     assert (stats.escaped > 0) == (name == "escaping")
 
 
+WEAK4 = MayOsterModel(
+    [0.4, 0.35, 0.3, 0.25], np.eye(4) + 0.05 * (np.ones((4, 4)) - np.eye(4))
+)  # its cloud collapses onto the interior equilibrium
+PLANAR4 = LeslieGowerModel([1.1] * 4, [[1.0, 0.8, 0.6, 0.4]] * 4)  # the CLI's planar cloud
+
+
+@pytest.mark.parametrize("model", [WEAK4, PLANAR4], ids=["weak4", "planar4"])
+def test_attractor_cloud_stops_at_a_repeat_with_the_full_loops_points(model, monkeypatch):
+    rng = np.random.default_rng(42)
+    X = (0.05 + 1.45 * rng.random((500, 4))) * model.verified_axial_fixed_points()
+    for _ in range(simplex.CLOUD_STEPS):
+        X = model.step(X)
+    steps = recorded_inputs(monkeypatch, model, "step")
+    cloud = simplex.compute_attractor_cloud(model, n_points=500, seed=42)
+    assert cloud.tobytes() == X.tobytes()
+    if model is WEAK4:
+        assert len(steps) < simplex.CLOUD_STEPS  # stopped at its repeat
+    else:
+        assert len(steps) == simplex.CLOUD_STEPS  # still contracting onto the plane
+
+
 # ---------------------------------------------------------------------------
 # the asymptotic check's orbits ride in the surface sweeps
 # ---------------------------------------------------------------------------
@@ -1306,6 +1358,74 @@ def test_compute_and_verify_surface_matches_the_two_calls(name, request):
     assert surface.metadata() == reference.metadata()
     expected = simplex.verify_surface(reference, model, samples=200, seed=3)
     assert verification.to_dict() == expected.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# reductions over species: the column chain against numpy's last-axis reduction
+# ---------------------------------------------------------------------------
+
+
+def reference_unordered_bruteforce(X):
+    """The worst margin and its pair, each chunk's margins by ``min(axis=2)``
+    of the (chunk, N, n) differences."""
+    N = X.shape[0]
+    chunk = max(1, int(2_000_000 // max(1, N)))
+    worst, points = -np.inf, None
+    for start in range(0, N, chunk):
+        blk = X[start : start + chunk]
+        margins = (blk[:, None, :] - X[None, :, :]).min(axis=2)
+        rows = np.arange(start, start + blk.shape[0])
+        margins[rows - start, rows] = -np.inf
+        i_loc, j = np.unravel_index(int(np.argmax(margins)), margins.shape)
+        if margins[i_loc, j] > worst:
+            worst = float(margins[i_loc, j])
+            points = (blk[i_loc], X[j])
+    return worst, points
+
+
+def _unordered_cloud(kind, n, N, rng):
+    if kind == "random":
+        return rng.random((N, n))
+    if kind == "duplicates":  # a repeated row is ordered against itself at margin 0
+        X = rng.random((N, n))
+        X[rng.integers(0, N, N // 10)] = X[rng.integers(0, N, N // 10)]
+        return X
+    if kind == "ties":  # every pair (y + 2, y) has the worst margin, 2, exactly
+        k = rng.integers(0, 2**20, (N - N // 2, n))
+        k[:, -1] = n * 2**20 - k[:, :-1].sum(axis=1)  # one sum: the rows y are unordered
+        y = k / 2**20
+        X = np.empty((N, n))
+        X[0::2], X[1::2] = y, (y + 2.0)[: N // 2]
+        return X
+    # an unordered cloud on the plane sum x = 1, its worst margin < 0
+    X = rng.random((N, n)) + 1e-3
+    return X / X.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("N", [7, 325, 2500])  # 2,500 rows take three chunks
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["random", "duplicates", "ties", "plane"])
+def test_unordered_bruteforce_matches_the_3d_reduction(kind, n, N):
+    X = _unordered_cloud(kind, n, N, np.random.default_rng(N * 10 + n))
+    result = simplex._unordered_bruteforce(X)
+    worst, points = reference_unordered_bruteforce(X)
+    assert np.float64(result.worst_margin).tobytes() == np.float64(worst).tobytes()
+    assert result.ok == (worst < 0.0)
+    assert all(p.tobytes() == r.tobytes() for p, r in zip(result.points, points))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_reduce_columns_matches_the_last_axis_reduction(n):
+    rng = np.random.default_rng(n)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, 1.0, -1.0, 0.5, 2.0])
+    values = [special, np.append(special, -0.0)]  # without and with -0.0
+    for with_negative_zero, pool in enumerate(values):
+        x = rng.choice(pool, size=(4_000, n))
+        if not with_negative_zero or n <= 8:  # from n = 9 numpy may pick the other zero
+            assert _reduce_columns(np.minimum, x).tobytes() == x.min(axis=1).tobytes()
+        b = x > 0.5
+        assert np.array_equal(_reduce_columns(np.logical_and, b), b.all(axis=1))
+        assert np.array_equal(_reduce_columns(np.logical_or, b), b.any(axis=1))
 
 
 # ---------------------------------------------------------------------------

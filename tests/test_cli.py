@@ -519,6 +519,32 @@ def test_check_reports_a_blown_up_integration_as_failures(tmp_path, capsys):
         assert by_id[cond_id]["verdict"] == "inconclusive"
 
 
+# one species with mean gain 720: h b = 11 at 64 RK4 steps, where the RK4 map
+# is unstable and its Newton q is a spurious fixed point far from q_exact = 721;
+# so C4 iterates its axis, and G(0) = e^720 overflows inside the integration
+FAST_GAIN = {
+    "type": "periodic_lv",
+    "n": 1,
+    "fourier": {"B": [{"const": 720.0, "cos": [1.0]}], "A": [[{"const": 1.0}]]},
+}
+
+
+def test_check_reports_a_failed_axis_iteration_as_a_c4_fail(tmp_path, capsys):
+    path = tmp_path / "fast_gain.json"
+    path.write_text(json.dumps(FAST_GAIN))
+    out = tmp_path / "report.json"
+    argv = ["check", "--model", str(path), "--ode-steps", "64", "--grid", "4",
+            "--samples", "200", "--out", str(out)]  # fmt: skip
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
+    by_id = {c["id"]: c for c in json.loads(out.read_text())["conditions"]}
+    assert by_id["C4"]["verdict"] == "fail"
+    assert by_id["C4"]["note"] == "axis iteration failed"
+    assert by_id["C4"]["witness"] == "integration lost finiteness at t = 1.000000"
+    assert by_id["C0"]["verdict"] == "inconclusive"
+    assert by_id["C0"]["note"] == "integration lost finiteness at t = 1.000000"
+
+
 def test_simplex_reports_a_blown_up_integration_on_one_line(tmp_path, capsys):
     path = tmp_path / "divergent.json"
     path.write_text(json.dumps(DIVERGENT_PERIODIC))

@@ -12,6 +12,7 @@ from carrysim.periodic import (
     IntegrationConfig,
     PeriodicLVSystem,
     PoincareMapModel,
+    _gauss_legendre,
     _sampled_a_conditions,
     check_a_conditions,
     integrate,
@@ -143,9 +144,10 @@ class TestPoincareMap:
         pm.growth(np.array([0.2, 0.3]))
         pm.growth(np.full((5, 2), 0.1))
         pm.verified_axial_fixed_points()
-        # one table: the stage times t, t + h/2 and t + h of each of 64 steps
+        # one table: the stage times t, t + h/2 and t + h of each of 64 steps;
+        # and the quadrature nodes of q_exact, the start of the axis Newton solve
         t = np.arange(64) / 64
-        stages = np.concatenate([t, t + 0.5 / 64, t + 1 / 64])
+        stages = np.concatenate([t, t + 0.5 / 64, t + 1 / 64, _gauss_legendre()[0]])
         assert np.array_equal(np.sort(times), np.sort(stages))
 
     def test_integration_memory_per_step_stays_small(self, vlper2):
