@@ -369,13 +369,18 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
     and 2 q_i: all 2n axis starts iterate as one batch for ``AXIAL_STEPS``,
     and a row stops updating once it is within ``AXIAL_TOL`` of q_i.  A fail
     reports the first failing (i, start) pair in the order i = 1..n, 0.1 q_i
-    before 2 q_i, or the evaluation error that stopped the iteration.
+    before 2 q_i, or the evaluation error that stopped the iteration.  Where
+    q_exact exists but q is not within that tolerance of it, the note of the
+    sampled verdict gives the vertex error and names the RK4 step as
+    possibly too coarse: q is then a fixed point of the discretized map far
+    from the exact one.
     """
     try:
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError) as exc:
         return ConditionResult("C4", "fail", witness=str(exc), note="no axial fixed point")
 
+    coarse = ""  # why a period map with q_exact is sampled, if it is
     q_exact = model.exact_axial_fixed_points()
     if q_exact is not None:
         error = np.abs(q - q_exact)
@@ -390,6 +395,14 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
                 "x -> C x / (1 + a x) with C > 1 and a > 0, which attracts every x > 0 "
                 f"to q_exact; vertex error max |q - q_exact| = {worst:.3g}",
             )
+        coarse = (
+            f"vertex error max |q - q_exact| = {float(error.max()):.3g} is not below "
+            f"{AXIAL_TOL:g} max(1, q_exact) on every axis: the RK4 step may be too "
+            "coarse (raise --ode-steps)"
+        )
+
+    def noted(why: str) -> str:
+        return "; ".join(filter(None, [why, coarse]))
 
     axis = np.repeat(np.arange(model.n), 2)
     starts = np.column_stack([0.1 * q, 2.0 * q]).ravel()
@@ -402,7 +415,9 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
         try:
             x[rows] = model.axis_step(axis[rows], x[rows])
         except ModelEvaluationError as exc:
-            return ConditionResult("C4", "fail", witness=str(exc), note="axis iteration failed")
+            return ConditionResult(
+                "C4", "fail", witness=str(exc), note=noted("axis iteration failed")
+            )
         active[rows] = ~(np.abs(x[rows] - q[axis[rows]]) < AXIAL_TOL)
 
     gaps = np.abs(x - q[axis])
@@ -421,7 +436,7 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
                 "q_i": float(q[i]),
             },
             samples=AXIAL_STEPS,
-            note="axis trajectory did not converge to the axial fixed point",
+            note=noted("axis trajectory did not converge to the axial fixed point"),
         )
     return ConditionResult(
         "C4",
@@ -429,6 +444,7 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
         worst=float(np.fmax.reduce(gaps, initial=0.0)),
         witness={"q": q},
         samples=2 * model.n * AXIAL_STEPS,
+        note=noted(""),
     )
 
 

@@ -5,8 +5,10 @@ simplex.  Starting from a surface that dominates the attractor box along
 every ray, each sweep pushes the node points through the map, reprojects
 them radially, and rebuilds the radii on the fixed grid by piecewise-linear
 barycentric interpolation.  Global attraction of the target surface makes
-the node radii settle; the defining properties (invariance, unordered,
-asymptotic attraction) are then verified a posteriori rather than assumed.
+the node radii settle, in fewer sweeps with Anderson mixing (Anderson 1965,
+J. ACM 12; Walker & Ni 2011, SIAM J. Numer. Anal. 49); the defining
+properties (invariance, unordered, asymptotic attraction) are then verified
+a posteriori rather than assumed.
 
 Surface mode supports n in {1, 2, 3}, and ``SimplexGrid.build`` is the one
 place that knows which: the rebuild, the interpolation and the
@@ -26,6 +28,7 @@ from .models import CompetitionModel, ModelEvaluationError, _reduce_columns
 ASYMPTOTIC_STARTS = 100  # random starts of the asymptotic check in verify_surface ...
 ASYMPTOTIC_STEPS = 400  # ... each iterated this often
 CLOUD_STEPS = 200  # map steps from each random seed of the n >= 4 point cloud
+ANDERSON_DEPTH = 5  # differences of past sweeps that the surface iteration mixes
 
 
 class SurfaceDegeneracyError(RuntimeError):
@@ -146,7 +149,14 @@ def _lattice_index(m: int, i, j):
 
 @dataclass
 class RadialSurface:
-    """Radii over a direction grid, plus how the iteration went."""
+    """Radii over a direction grid, plus how the iteration went.
+
+    ``final_delta`` is the last sweep's max |g - x| for its input x and its
+    image g, the radii.  ``descent_violations`` counts the nodes with
+    g > x + 1e-12 in the sweeps from the second on that precede the first
+    mixed input: the monotone-descent argument holds only on the start's
+    plain orbit.
+    """
 
     grid: SimplexGrid
     radii: np.ndarray
@@ -202,14 +212,23 @@ def compute_carrying_simplex(
     Per sweep: push every node point through the map, reproject radially,
     and rebuild the radii on the fixed grid (each boundary chain by
     one-dimensional interpolation, the interior by barycentric
-    interpolation in the image triangulation).  Stops when the largest node
-    movement drops below ``tol``.  A non-converged surface is returned with
+    interpolation in the image triangulation).  Stops at the first sweep
+    whose image g is within ``tol`` of its input x, max |g - x| < ``tol``,
+    and returns g.  A non-converged surface is returned with
     ``converged=False`` rather than raised.
 
-    Each sweep is one ``model.step`` call on a 2-D batch of node points;
-    :func:`compute_and_verify_surface` stacks the asymptotic check's states
-    onto those calls, which rests on ``step`` giving a row of a 2-D batch
-    the same bits whatever else is in the batch.
+    The next input is g, or g - dG gamma, gamma = argmin |f - dF gamma|_2,
+    with dG and dF the last ``ANDERSON_DEPTH`` differences of the images
+    and of their residuals f = g - x.  The differences are dropped when the
+    residual grows, or when the mixed input is not finite or leaves
+    (0, 1.5 x the start radii].  Nothing is mixed once a sweep before the
+    first mixed input rose at some node: mixing would take x e^(3 - x) onto
+    its repelling fixed point 3.
+
+    Each sweep is one ``model.step`` call on a 2-D batch of node points, and
+    mixing calls no map; :func:`compute_and_verify_surface` stacks the
+    asymptotic check's states onto those calls, which rests on ``step``
+    giving a row of a 2-D batch the same bits whatever else is in the batch.
     """
     n = model.n
     if n not in _DEFAULT_M:
@@ -225,21 +244,39 @@ def compute_carrying_simplex(
         ratios = np.where(grid.nodes > 0.0, q / np.where(grid.nodes > 0, grid.nodes, 1.0), np.inf)
     radii = 1.5 * ratios.min(axis=1)
 
+    ceiling = 1.5 * radii  # a mixed input above it, or not above 0, is not taken
+    x = radii  # the sweep's input: the start, the last image, or mixed from the last images
+    plain_orbit = True  # x is on the start's orbit under the plain sweep
+    history: list = []  # (dG, dF) of successive images g and residuals f = g - x, newest first
     descent_violations = 0
     delta = np.inf
     iterations = 0
     converged = False
     memo: dict = {}  # the interior nodes' candidate lists, see _best_in_cells
     for iteration in range(1, max_iter + 1):
-        new_radii = _sweep(model, grid, radii, memo)
-        delta = float(np.max(np.abs(new_radii - radii)))
-        if iteration >= 2:
-            descent_violations += int(np.count_nonzero(new_radii > radii + 1e-12))
-        radii = new_radii
+        radii = _sweep(model, grid, x, memo)
+        residual = radii - x
+        last_delta, delta = delta, float(np.max(np.abs(residual)))
+        if iteration >= 2 and plain_orbit:
+            descent_violations += int(np.count_nonzero(radii > x + 1e-12))
         iterations = iteration
         if delta < tol:
             converged = True
             break
+        if delta > last_delta:  # the residual grew: restart from the plain image
+            history.clear()
+        elif iteration >= 2:
+            history.insert(0, (radii - last_image, residual - last_residual))
+            del history[ANDERSON_DEPTH:]
+        last_image, last_residual = radii, residual
+        x = radii
+        if history and descent_violations == 0:
+            gamma = _least_squares([dF for _, dF in history], residual)
+            trial = radii - sum(c * dG for c, (dG, _) in zip(gamma, history))
+            if np.all(trial > 0.0) and np.all(trial <= ceiling):  # false at NaN
+                x, plain_orbit = trial, False
+            else:
+                history.clear()
 
     return RadialSurface(
         grid=grid,
@@ -252,6 +289,35 @@ def compute_carrying_simplex(
         max_iter=max_iter,
         descent_violations=descent_violations,
     )
+
+
+_GRAM_DROP = 1e-10  # see _least_squares
+
+
+def _least_squares(columns: list[np.ndarray], f: np.ndarray) -> list[float]:
+    """gamma minimizing |f - sum_j gamma_j columns[j]|_2, from the Gram
+    matrix of one matmul, Cholesky-factored in Python floats (no LAPACK).
+    A column whose part off the span of the earlier ones has at most
+    ``_GRAM_DROP`` of its squared length is dropped, gamma_j = 0."""
+    k = len(columns)
+    a = np.vstack([*columns, f])
+    gram = (a @ a.T).tolist()
+    R = [[0.0] * k for _ in range(k)]
+    z = [0.0] * k  # R^-T (columns . f)
+    kept: list[int] = []
+    for j in range(k):
+        s = gram[j][j] - sum(R[i][j] * R[i][j] for i in kept)
+        if not s > _GRAM_DROP * gram[j][j]:
+            continue
+        R[j][j] = s**0.5
+        for c in range(j + 1, k):
+            R[j][c] = (gram[j][c] - sum(R[i][j] * R[i][c] for i in kept)) / R[j][j]
+        z[j] = (gram[j][k] - sum(R[i][j] * z[i] for i in kept)) / R[j][j]
+        kept.append(j)
+    gamma = [0.0] * k
+    for j in reversed(kept):
+        gamma[j] = (z[j] - sum(R[j][c] * gamma[c] for c in kept if c > j)) / R[j][j]
+    return gamma
 
 
 def _sweep(model: CompetitionModel, grid: SimplexGrid, radii: np.ndarray, memo) -> np.ndarray:

@@ -287,7 +287,13 @@ class TestExactAxisMap:
         assert sampled["verdict"] == "pass_sampled"
         offset = np.array([0.0, AXIAL_TOL])  # q_2 < 1: the tolerance is AXIAL_TOL itself
         monkeypatch.setattr(pm, "exact_axial_fixed_points", lambda: q + 1.5 * offset)
-        assert check_axial(pm).to_record() == sampled
+        coarse = check_axial(pm).to_record()
+        # the same sampled verdict, whose note gives the vertex error
+        assert coarse.pop("note") == (
+            "vertex error max |q - q_exact| = 1.5e-08 is not below 1e-08 max(1, q_exact) "
+            "on every axis: the RK4 step may be too coarse (raise --ode-steps)"
+        )
+        assert coarse == {key: v for key, v in sampled.items() if key != "note"}
         monkeypatch.setattr(pm, "exact_axial_fixed_points", lambda: q + 0.5 * offset)
         assert check_axial(pm).verdict == "pass"
 
