@@ -16,7 +16,8 @@ codes, 0 where no rule below applies:
 - Every command: 64 for a usage error or a malformed model file, with one
   ``error:`` line (an ``--out`` outside an existing directory is refused
   before the model is read); 1 with one ``error:`` line when a model
-  evaluation or an output write fails.
+  evaluation or an output write fails, or when a well-formed model has no
+  axial fixed point (``simplex --force``; ``check`` reports it as C4).
 
 Once the model's n is known, and before any array is built, a usage error
 also refuses a flag whose largest batch, at n x n floats per row, would hold
@@ -229,13 +230,13 @@ def main(argv=None) -> int:
         if args.out is not None and not Path(args.out).parent.is_dir():
             raise UsageError(f"--out: {Path(args.out).parent} is not a directory")
         return args.func(args)
-    except (UsageError, ModelFileError, ModelParameterError) as exc:
+    except (UsageError, ModelFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SurfaceDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ModelEvaluationError, OSError) as exc:
+    except (ModelParameterError, ModelEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

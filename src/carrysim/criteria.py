@@ -7,6 +7,12 @@ Model the family-specific closed-form criterion).  Continuum conditions are
 sampled and honestly labeled ``pass_sampled``, unless a theorem proves them,
 which the ``pass`` record's note names; a fail always carries a witness that
 reproduces the violation.
+
+Conditions that hold on the support of a point (the face of the cone where
+the absent species are zero) restrict to it by a mask of the nonzero
+coordinates: C2, C3 and C5 mask the entries off the support, and InvPos
+takes its support patterns, and each point's pattern, from one ``np.unique``
+of that mask.
 """
 
 from __future__ import annotations
@@ -172,23 +178,6 @@ def _grid_competition_matrices(model: CompetitionModel, resolution: int):
 def _mesh_points(axes) -> np.ndarray:
     """Every combination of the per-axis values, one point per row."""
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
-def _support_groups(pts: np.ndarray):
-    """Yield (support, rows) for every distinct nonempty support among the rows.
-
-    ``support`` holds the nonzero coordinates, ``rows`` the row indices that
-    share them, so principal submatrices can be taken one stack per pattern.
-    Rows are keyed by their packed bits, in ``np.unique(pts != 0, axis=0)``'s order.
-    """
-    nonzero = pts != 0.0
-    bits = np.packbits(nonzero, axis=1)
-    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    for k, row in enumerate(first):
-        support = np.flatnonzero(nonzero[row])
-        if support.size:
-            yield support, np.flatnonzero(inverse == k)
 
 
 # ---------------------------------------------------------------------------
@@ -453,27 +442,24 @@ def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> 
 
     The Jacobian is evaluated once on the whole sample, and the largest entry
     of each support block is one maximum over the stack with the entries off
-    the support masked to -inf.  Points with an empty support are vacuous.
+    the support masked to -inf; the witness (i, j) is read off the worst
+    point's masked matrix.  Points with an empty support are vacuous.
     """
     rng = np.random.default_rng(seed)
     pts = _region_samples(model, samples, rng, include_origin=True)
     jac = model.growth_jacobian(pts)
 
     on = pts != 0.0
-    entries = np.where(on[:, :, None] & on[:, None, :], jac, -np.inf).max(axis=(1, 2))
+    masked = np.where(on[:, :, None] & on[:, None, :], jac, -np.inf)
+    entries = masked.max(axis=(1, 2))
     # the first largest entry is the worst; a NaN entry never is.  Every axis
     # segment is sampled away from 0, so some row has a support block
     k = int(np.argmax(np.where(np.isnan(entries), -np.inf, entries)))
     worst = float(entries[k])
-    support = np.flatnonzero(pts[k] != 0.0)
-    sub = jac[k][np.ix_(support, support)]
-    i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
-    worst_witness = {
-        "x": pts[k],
-        "i": int(support[i_loc]) + 1,
-        "j": int(support[j_loc]) + 1,
-        "value": worst,
-    }
+    # support indices ascend, so row k's first largest masked entry in
+    # row-major order is its support block's first largest
+    i, j = np.unravel_index(int(np.argmax(masked[k])), masked[k].shape)
+    worst_witness = {"x": pts[k], "i": int(i) + 1, "j": int(j) + 1, "value": worst}
     near_ties = int(np.count_nonzero((-STRICT_TIE_MARGIN < entries) & (entries < 0.0)))
     note = f"near-ties (> -{STRICT_TIE_MARGIN:g}): {near_ties}" if near_ties else ""
     verdict = "pass_sampled" if worst < 0.0 else "fail"
@@ -491,11 +477,12 @@ def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> 
 def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult:
     """[T'(x)] restricted to the support of x has an entrywise-positive inverse.
 
-    T' is evaluated once on all points with a nonempty support, and the
-    principal submatrices are inverted one stack per support pattern.  A
-    submatrix with zero determinant counts as singular.  The result is that
-    of a scan in input order: it stops at the first failing point, and
-    ``samples`` counts the points with a nonempty support up to it.
+    T' is evaluated once on all points with a nonempty support.  The support
+    patterns, and each point's pattern, come from one ``np.unique`` of the
+    nonzero mask, and the principal submatrices are inverted one stack per
+    pattern.  A submatrix with zero determinant counts as singular.  The
+    result is that of a scan in input order: it stops at the first failing
+    point, and ``samples`` counts the points with a nonempty support up to it.
     """
     pts = np.array([as_state(x, model.n) for x in points], dtype=float).reshape(-1, model.n)
     pts = pts[np.any(pts != 0.0, axis=1)]
@@ -503,7 +490,10 @@ def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult
 
     entries = np.full(pts.shape[0], np.nan)
     singular = np.zeros(pts.shape[0], dtype=bool)
-    for support, rows in _support_groups(pts):
+    patterns, pattern_of = np.unique(pts != 0.0, axis=0, return_inverse=True)
+    pattern_of = pattern_of.ravel()  # its shape differs between numpy versions
+    for k, pattern in enumerate(patterns):
+        support, rows = np.flatnonzero(pattern), np.flatnonzero(pattern_of == k)
         sub = jac[np.ix_(rows, support, support)]
         zero_det = np.linalg.det(sub) == 0.0
         singular[rows[zero_det]] = True

@@ -31,12 +31,12 @@ class ModelEvaluationError(RuntimeError):
         self.index = index
 
 
-def as_state(x, n: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a valid state vector: 1-D, finite, nonnegative."""
+def as_state(x, n: int) -> np.ndarray:
+    """Coerce ``x`` to a valid state vector of n species: 1-D, finite, nonnegative."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"state vector must be 1-D, got shape {arr.shape}")
-    if n is not None and arr.size != n:
+    if arr.size != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("state vector has non-finite coordinates")

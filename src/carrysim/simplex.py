@@ -350,7 +350,7 @@ _TAU = 1e-9
 _BOX_EPS = 4 * _TAU
 
 
-def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray, memo=None) -> np.ndarray:
+def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray, memo: dict) -> np.ndarray:
     """Rebuild the radii on the fixed grid from the pushed-forward nodes.
 
     Each boundary chain is a one-dimensional subproblem on its own nodes.
@@ -358,9 +358,9 @@ def _rebuild(grid: SimplexGrid, dirs: np.ndarray, rho: np.ndarray, memo=None) ->
     ``rho`` in the image triangle whose smallest barycentric weight at the
     node is largest, the lowest index winning a tie; below -tau the node is
     not covered.  It is searched in its own 1/m cell, which lists every
-    image triangle whose bounding box, grown by 4 tau, meets the cell.  A
-    ``memo`` kept over the sweeps of one grid reuses these lists while every
-    triangle's box meets the same cells.
+    image triangle whose bounding box, grown by 4 tau, meets the cell.  The
+    ``memo`` dict, kept over the sweeps of one grid (empty for one rebuild),
+    reuses these lists while every triangle's box meets the same cells.
 
     Lemma: if a triangle's smallest weight at p is >= -tau, then in each
     coordinate p lies within 2 tau w of its box, w <= 1 being the box's
@@ -427,7 +427,7 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, rank
 
 
-def _best_in_cells(targets, a, b, c, det, k: int, memo=None):
+def _best_in_cells(targets, a, b, c, det, k: int, memo: dict):
     """Per target, among the triangles listed in its 1/k cell, the one with the
     largest smallest weight (lowest index on ties) and that weight; -1 and
     -inf where the cell lists none.  The lists depend only on the cells
@@ -435,7 +435,6 @@ def _best_in_cells(targets, a, b, c, det, k: int, memo=None):
     (targets, k) reuses them while ``lo`` and ``hi`` repeat."""
     lo = _cells(np.minimum(a, np.minimum(b, c)) - _BOX_EPS, k)
     hi = _cells(np.maximum(a, np.maximum(b, c)) + _BOX_EPS, k)
-    memo = {} if memo is None else memo
     key = (lo.tobytes(), hi.tobytes())
     if memo.get("key") != key:  # list the (target p, triangle t) pairs by p, then t
         span_y = hi % k - lo % k + 1

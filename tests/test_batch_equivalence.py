@@ -24,7 +24,6 @@ from carrysim import criteria
 from carrysim.criteria import (
     ConditionResult,
     _grid_points,
-    _support_groups,
     check_axial,
     check_c5,
     check_inverse_positivity,
@@ -153,9 +152,11 @@ def reference_region_samples(model, samples, rng, include_origin=False):
     return np.vstack(parts)
 
 
-def reference_c5(model, samples=10_000, seed=42):
-    rng = np.random.default_rng(seed)
-    pts = reference_region_samples(model, samples, rng, include_origin=True)
+def reference_c5(model, samples=10_000, seed=42, pts=None):
+    """The C5 loop on the sample, or on ``pts`` where given."""
+    if pts is None:
+        rng = np.random.default_rng(seed)
+        pts = reference_region_samples(model, samples, rng, include_origin=True)
     jac = model.growth_jacobian(pts)
     worst = -np.inf
     worst_witness = None
@@ -302,8 +303,62 @@ def test_inverse_positivity_without_support_is_vacuous():
     batched = check_inverse_positivity(STRONG, [[0.0, 0.0]])
     assert batched.to_record() == reference_inverse_positivity(STRONG, [[0.0, 0.0]]).to_record()
     assert batched.samples == 0
+    model = MayOsterModel([0.5] * 9, np.eye(9))
+    batched = check_inverse_positivity(model, np.zeros((5, 9)))
+    assert batched.to_record() == reference_inverse_positivity(model, np.zeros((5, 9))).to_record()
+    assert batched.samples == 0
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [[[1e-320, 0.0]], [[0.0, 0.0], [1e-320, 0.3], [0.0, 0.3]], [[0.2, 0.1], [0.0, 1e-320]]],
+    ids=["alone", "beside-a-facet", "after-a-point"],
+)
+def test_inverse_positivity_counts_a_subnormal_coordinate_in_the_support(probe):
+    batched = check_inverse_positivity(STRONG, probe)
+    assert batched.verdict == "pass_sampled"
+    assert batched.to_record() == reference_inverse_positivity(STRONG, probe).to_record()
+
+
+def support_pattern_probe(q, scale, seed, per=3):
+    """``per`` points in (0, scale q] on every support pattern, the empty one
+    included, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    masks = np.array(list(itertools.product([False, True], repeat=q.size)))
+    pts = np.repeat(masks, per, axis=0) * rng.random((per * len(masks), q.size)) * scale * q
+    return pts[rng.permutation(len(pts))]
+
+
+# scale 1 passes on every family; at scale 3 May-Oster fails, and the record
+# is that of its first failing point in input order
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "family, scale", [("may", 1.0), ("may", 3.0), ("lg", 3.0), ("neural", 3.0)]
+)
+def test_inverse_positivity_on_every_support_pattern(family, scale, n):
+    model = _stacking_model(family, n)
+    probe = support_pattern_probe(model.verified_axial_fixed_points(), scale, seed=n)
+    batched = check_inverse_positivity(model, probe)
+    assert batched.verdict == ("fail" if family == "may" and scale > 1.0 else "pass_sampled")
+    assert batched.to_record() == reference_inverse_positivity(model, probe).to_record()
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_positivity_on_every_support_pattern_of_a_period_map(n, monkeypatch):
+    """The rows of one batched T' differ from T' of each point by ulps, so
+    the reference reads the checker's batch, row by row."""
+    model = _stacking_model("period64", n)
+    probe = support_pattern_probe(model.verified_axial_fixed_points(), 3.0, seed=n)
+    batched = check_inverse_positivity(model, probe)
+    rows = probe[probe.any(axis=1)]
+    jac = dict(zip(map(bytes, rows), model.step_jacobian(rows)))
+    monkeypatch.setattr(model, "step_jacobian", lambda x: jac[x.tobytes()])
+    assert batched.verdict == "pass_sampled"
+    assert batched.to_record() == reference_inverse_positivity(model, probe).to_record()
+
+
+@pytest.mark.blas_threads
 def test_inverse_positivity_on_period_map(periodic64):
     q = periodic64.verified_axial_fixed_points()
     probe = np.vstack([np.random.default_rng(5).random((12, 2)) * q, q, np.diag(q)])
@@ -341,6 +396,7 @@ def test_axial_pass_matches_reference(name, request):
     assert check_axial(model).to_record() == reference_axial(model).to_record()
 
 
+@pytest.mark.blas_threads
 def test_axial_pass_on_period_map_matches_reference():
     # periodic_lv2 with A_22 = 0.05 + 0.1 cos, which dips below 0: C4 is not
     # proved, and the period map's axes are iterated.  Axis rows have one
@@ -401,6 +457,7 @@ def _axial_q_and_tangent_passes(model, monkeypatch):
     return q, sum(passes)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("steps", [64, 256, 1024])
 def test_axial_newton_from_q_exact_matches_the_unseeded_solve(steps, monkeypatch):
     def fresh():
@@ -422,15 +479,32 @@ def test_axial_newton_from_q_exact_matches_the_unseeded_solve(steps, monkeypatch
         MayOsterModel([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]]),
         MayOsterModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),  # ties at 0
         MayOsterModel([0.5, 0.4, 0.45], [[1, 0.2, 0.1], [0.3, 1, 0.2], [0.1, 0.2, 1]]),
+        pytest.param(MayOsterModel([0.5] * 4, np.eye(4)), id="ties4"),
+        *[
+            pytest.param((family, n), id=f"{family}{n}")
+            for family in ("may", "lg", "neural")
+            for n in range(1, 5)
+        ],
+        *[
+            pytest.param(("period64", n), id=f"period64-{n}", marks=pytest.mark.blas_threads)
+            for n in range(1, 5)
+        ],
     ],
 )
-def test_c5_matches_reference(model):
-    batched = check_c5(model, samples=2000, seed=7)
-    worst, witness, near_ties = reference_c5(model, samples=2000, seed=7)
-    record = batched.to_record()
-    assert record["worst"] == worst
-    assert record["witness"] == ConditionResult("C5", "", witness=witness).to_record()["witness"]
-    assert batched.note == (f"near-ties (> -1e-12): {near_ties}" if near_ties else "")
+def test_c5_matches_reference(model, monkeypatch):
+    """On the sample, then on points of every support pattern in [0, 1.5 q]."""
+    if isinstance(model, tuple):  # (family, n), built where _stacking_model is defined
+        model = _stacking_model(*model)
+    cases = [(check_c5(model, samples=2000, seed=7), reference_c5(model, samples=2000, seed=7))]
+    probe = support_pattern_probe(model.verified_axial_fixed_points(), 1.5, seed=model.n)
+    monkeypatch.setattr(criteria, "_region_samples", lambda *args, **kwargs: probe)
+    cases.append((check_c5(model, samples=2000, seed=7), reference_c5(model, pts=probe)))
+    for batched, (worst, witness, near_ties) in cases:
+        record = batched.to_record()
+        expected = ConditionResult("C5", "", witness=witness).to_record()
+        assert record["worst"] == worst
+        assert record["witness"] == expected["witness"]
+        assert batched.note == (f"near-ties (> -1e-12): {near_ties}" if near_ties else "")
 
 
 def reference_growth_jacobian(model, x):
@@ -466,34 +540,6 @@ def test_growth_and_jacobian_match_the_separate_evaluations(model):
         assert np.array_equal(g, model.growth(x))
         assert np.array_equal(gp, reference_growth_jacobian(model, x))
         assert np.array_equal(model.growth_jacobian(x), gp)
-
-
-def reference_support_groups(pts):
-    patterns, inverse = np.unique(pts != 0.0, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    for k, pattern in enumerate(patterns):
-        support = np.flatnonzero(pattern)
-        if support.size:
-            yield support, np.flatnonzero(inverse == k)
-
-
-@pytest.mark.parametrize("n", [1, 3, 8, 9, 70])
-@pytest.mark.parametrize("rows", [1, 40, 2000])
-def test_support_groups_match_the_row_sort(n, rows):
-    """Packed row keys give np.unique(axis=0)'s groups in its order, for n
-    below, at and past a byte boundary and past 64, with all-zero rows."""
-    rng = np.random.default_rng(100 * n + rows)
-    pts = rng.random((rows, n)) * (rng.random((rows, n)) < rng.random((rows, 1)))
-    pts[rng.random(rows) < 0.1] = 0.0
-    got = [(s.tolist(), r.tolist()) for s, r in _support_groups(pts)]
-    want = [(s.tolist(), r.tolist()) for s, r in reference_support_groups(pts)]
-    assert got == want
-    assert sum(len(r) for _, r in got) == np.count_nonzero(pts.any(axis=1))
-
-
-def test_support_groups_of_zero_rows_are_empty():
-    assert list(_support_groups(np.zeros((1, 9)))) == []
-    assert list(_support_groups(np.zeros((5, 3)))) == []
 
 
 SAMPLED_MODELS = [
@@ -562,6 +608,7 @@ def test_verified_q_is_checked_once_and_shared(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.blas_threads
 def test_spectral_grid_on_period_map_matches_reference(periodic64):
     batched = check_spectral_grid(periodic64, grid_resolution=8)
     reference = reference_spectral_grid(periodic64, grid_resolution=8)
@@ -731,6 +778,11 @@ def reference_interp3(grid, values, d):
     return float(sum(w[k] * values[verts[k]] for k in range(3)))
 
 
+def fresh_rebuild(grid, dirs, rho):
+    """simplex._rebuild with an empty memo: every cell list built anew."""
+    return simplex._rebuild(grid, dirs, rho, {})
+
+
 def _rebuild_outcome(fn, grid, dirs, rho):
     try:
         return fn(grid, dirs, rho)
@@ -798,7 +850,7 @@ def test_rebuild_matches_the_triangle_loop_on_perturbed_maps(m, scale):
         dirs[grid.lattice == 0] = 0.0  # facets stay invariant
         dirs = np.abs(dirs) / np.abs(dirs).sum(axis=1, keepdims=True)
         rho = 1.0 + 0.1 * rng.random(len(grid))
-        fast = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
+        fast = _rebuild_outcome(fresh_rebuild, grid, dirs, rho)
         reference = _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
         if isinstance(reference, str):
             assert fast == reference
@@ -840,12 +892,12 @@ def test_rebuild_with_a_memo_matches_one_without():
         pairs = memo.get("pairs")
         kept = _rebuild_outcome(partial(simplex._rebuild, memo=memo), grid, dirs, rho)
         reused.append(memo.get("pairs") is pairs)
-        fresh = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
+        fresh = _rebuild_outcome(fresh_rebuild, grid, dirs, rho)
         if isinstance(fresh, str):
             assert kept == fresh
         else:
             assert np.array_equal(kept, fresh)
-    outcomes = [_rebuild_outcome(simplex._rebuild, grid, d, np.ones(len(grid))) for d in maps]
+    outcomes = [_rebuild_outcome(fresh_rebuild, grid, d, np.ones(len(grid))) for d in maps]
     assert sum(isinstance(o, str) for o in outcomes) >= 2
     assert 10 <= sum(reused) <= len(maps) - 10
 
@@ -910,6 +962,7 @@ MIXED_CASES = [(name, None) for name in ("may2", "leslie2", "neural2", "may1_b3"
 MIXED_CASES += [("overshoot", 8), ("overshoot", 16), ("coupled", 24), ("planar", 24)]
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize(
     "name, m", MIXED_CASES, ids=[name if m is None else f"{name}-{m}" for name, m in MIXED_CASES]
 )
@@ -956,6 +1009,7 @@ def test_mixed_surface_matches_the_plain_iteration(name, m, monkeypatch):
         assert surface.iterations < iterations
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("gamma", [1e300, -1e300, np.nan])
 @pytest.mark.parametrize("model, m", [(COUPLED, 8), (PLANAR, 8)], ids=["coupled-8", "planar-8"])
 def test_mixed_inputs_outside_the_start_box_are_not_taken(model, m, gamma, monkeypatch):
@@ -970,6 +1024,7 @@ def test_mixed_inputs_outside_the_start_box_are_not_taken(model, m, gamma, monke
     assert surface.descent_violations == violations == 0
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_least_squares_matches_lstsq(k):
     """The Gram-matrix solve against LAPACK's: the coefficients on full-rank
@@ -998,7 +1053,7 @@ def test_rebuild_errors_match_the_triangle_loop():
     centre = np.full(3, 1.0 / 3.0)
     shrunk = centre + 0.5 * (grid.nodes - centre)  # the image misses the border
     for dirs, message in ((folded, "not injective"), (shrunk, "does not cover")):
-        fast = _rebuild_outcome(simplex._rebuild, grid, dirs, rho)
+        fast = _rebuild_outcome(fresh_rebuild, grid, dirs, rho)
         assert fast == _rebuild_outcome(reference_rebuild_2d, grid, dirs, rho)
         assert message in fast
 
@@ -1054,7 +1109,7 @@ def test_cell_search_holds_every_triangle_the_full_search_accepts(k):
         winner = np.argmax(w_min, axis=1)  # the first on ties
         top = w_min[np.arange(points.shape[0]), winner]
         accepted = top >= -simplex._TAU
-        best, best_min = simplex._best_in_cells(points, a, b, c, det, k)
+        best, best_min = simplex._best_in_cells(points, a, b, c, det, k, {})
         assert np.array_equal(best[accepted], winner[accepted])
         assert np.array_equal(best_min[accepted], top[accepted])
         outside += np.count_nonzero(accepted & (top < 0.0))
@@ -1079,7 +1134,7 @@ def test_cell_lists_are_reused_only_while_lo_and_hi_repeat():
             det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
             pairs = memo.get("pairs")
             kept = simplex._best_in_cells(points, a, b, c, det, 12, memo)
-            fresh = simplex._best_in_cells(points, a, b, c, det, 12)
+            fresh = simplex._best_in_cells(points, a, b, c, det, 12, {})
             assert np.array_equal(kept[0], fresh[0]) and np.array_equal(kept[1], fresh[1])
             reused.append(memo["pairs"] is pairs)
     assert reused == [False, True, False, False, True, False] * 5
@@ -1166,6 +1221,7 @@ def random_fourier_system(rng, n, K):
 
 
 # 100 steps: h = 0.01 is inexact, so t + h and t0 + (k + 1) h differ for some k
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("steps", [64, 100, 256])
 def test_period_map_growth_matches_per_stage_rk4(steps):
     config = IntegrationConfig(steps)
@@ -1215,6 +1271,7 @@ def reference_tangent(table, x0):
 
 # the grid of the per-stage test above: n = 1..6, K = 0, 1, 3, 1 to 5,000 rows;
 # G' of the tangent pass is also pinned bit for bit to the reference loop
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("steps", [64, 100])
 def test_tangent_pass_growth_matches_growth(steps):
     config = IntegrationConfig(steps)
@@ -1231,6 +1288,7 @@ def test_tangent_pass_growth_matches_growth(steps):
             assert np.array_equal(gp, np.exp(ell)[..., :, None] * d_ell), (n, K, x.shape)
 
 
+@pytest.mark.blas_threads
 def test_integrate_matches_per_stage_rk4_off_the_period_grid():
     loaded = load_model_file(MODELS / "periodic_lv2.json")
     # both spans end in a partial period (80 of 100 and 45 of 64 steps), so
@@ -1246,6 +1304,7 @@ def test_integrate_matches_per_stage_rk4_off_the_period_grid():
             assert np.array_equal(traj.states, states)
 
 
+@pytest.mark.blas_threads
 def test_blow_up_is_raised_at_the_per_stage_time():
     config = IntegrationConfig(64)
     x = np.array([[0.3, 0.2], [1.0, 0.0], [0.0, 0.5]])
@@ -1403,6 +1462,7 @@ def _stacking_model(family, n):
 STACKED_M = {1: [1], 2: [2, 3, 4, 8, 64], 3: [2, 3, 4, 8, 16, 24]}
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("family", ["may", "lg", "neural", "period64", "period256"])
 def test_stacked_step_matches_each_part(family, n):
@@ -1439,6 +1499,7 @@ RIDING_CASES = {
 }
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("name", list(RIDING_CASES))
 def test_ridden_orbits_match_the_unridden_check(name, request):
     model, kwargs, advance = RIDING_CASES[name]
@@ -1470,6 +1531,7 @@ def test_ridden_orbits_match_the_unridden_check(name, request):
         assert rode == 300 > simplex.ASYMPTOTIC_STEPS // 2 and not repeated
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("name", ["periodic64", "may2", "may1_b3"])
 def test_compute_and_verify_surface_matches_the_two_calls(name, request):
     model = request.getfixturevalue(name)

@@ -561,6 +561,36 @@ def test_simplex_reports_a_blown_up_integration_on_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+# well-formed models whose species 1 has no axial fixed point: check reports
+# it as a C4 fail, and simplex --force, which needs q, exits 1 on one line
+NO_AXIAL_FIXED_POINT = {
+    "leslie_gower2": (
+        {"type": "leslie_gower", "n": 2, "C": [0.9, 1.5], "A": [[1, 0.2], [0.3, 1]]},
+        "C[1] = 0.9 <= 1 sends all axis trajectories to 0",
+    ),
+    "leslie_gower4_cloud": (
+        {**PLANAR4, "C": [0.9, 1.1, 1.1, 1.1]},
+        "C[1] = 0.9 <= 1 sends all axis trajectories to 0",
+    ),
+    "periodic1": (
+        {"type": "periodic_lv", "n": 1,
+         "fourier": {"B": [{"const": -0.5, "cos": [0.1]}], "A": [[1.0]]}},  # fmt: skip
+        "axis iteration did not converge to a positive value",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_AXIAL_FIXED_POINT))
+def test_simplex_force_without_an_axial_fixed_point_exits_1(name, tmp_path, capsys):
+    description, why = NO_AXIAL_FIXED_POINT[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(description))
+    out = tmp_path / "surface.csv"
+    assert main(["simplex", "--model", str(path), "--force", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no axial fixed point for species 1: {why}\n"
+    assert not out.exists()
+
+
 def test_check_rejects_a_non_finite_fourier_coefficient(tmp_path, capsys):
     description = json.loads(Path(model("periodic_lv2")).read_text())
     description["fourier"]["B"][1]["cos"] = [float("nan")]

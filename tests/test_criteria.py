@@ -6,7 +6,6 @@ import pytest
 from carrysim import criteria
 from carrysim.criteria import (
     RETROTONE_MIN_PAIRS,
-    _support_groups,
     check_attractor_bound,
     check_axial,
     check_c0,
@@ -432,19 +431,3 @@ def test_eq3_and_eq4_share_one_evaluation_of_the_grid(monkeypatch):
     assert sum(np.array_equal(x, grid) for x in seen) == 1
     assert conditions["Eq4"].samples == 64 + 81
     assert conditions["Eq3a"].samples == conditions["Eq3b"].samples == 64
-
-
-def supports(points):
-    """The nonempty supports among the points, each with its row indices."""
-    pts = np.array(points, dtype=float)
-    return {tuple(support.tolist()): rows.tolist() for support, rows in _support_groups(pts)}
-
-
-def test_support_examples():
-    assert supports([[0.0, 2.5, 0.0]]) == {(1,): [0]}
-    assert supports([[0.0, 0.0, 0.0]]) == {}  # the origin has no support
-    assert supports([[1.0, 0.5], [0.0, 3.0], [2.0, 1.0]]) == {(0, 1): [0, 2], (1,): [1]}
-
-
-def test_support_is_exact():
-    assert supports([[1e-320, 0.0]]) == {(0,): [0]}

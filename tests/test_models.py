@@ -205,7 +205,7 @@ def test_batched_and_single_evaluations_agree(may2):
 
 def test_as_state_rejections():
     with pytest.raises(ValueError, match="must be 1-D"):
-        as_state([[0.1, 0.2]])
+        as_state([[0.1, 0.2]], n=2)
     with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 2"):
         as_state([0.1, 0.2], n=3)
     for bad in (np.nan, np.inf, -np.inf):
