@@ -19,11 +19,12 @@ codes, 0 where no rule below applies:
   evaluation or an output write fails, or when a well-formed model has no
   axial fixed point (``simplex --force``; ``check`` reports it as C4).
 
-Once the model's n is known, and before any array is built, a usage error
-also refuses a flag whose largest batch, at n x n floats per row, would hold
-more than ``MAX_BATCH_ENTRIES`` floats: the criteria's grid of m^n points for
-``--grid m`` and Eq4's refinement of 9^n points (``check`` and the ``simplex``
-pre-check, which refuse every n >= 7), a surface lattice of (m + 1)^(n - 1)
+The criteria's grid (``check`` and the ``simplex`` pre-check) has m^n points,
+by default m = ``criteria.default_grid(n)``: 16 for n <= 4, 9 for n = 5 and
+never above 16^4 points, Eq4's refinement included.  Once n is known, and
+before any array is built, a usage error refuses a flag whose largest batch,
+at n x n floats per row, would hold more than ``MAX_BATCH_ENTRIES`` floats:
+the criteria's grid for ``--grid m``, a surface lattice of (m + 1)^(n - 1)
 rows for ``simplex --grid m``, one row per sample for ``--samples``, and for
 ``sweep1d`` the min(record, steps) x b-count orbit values it keeps (n = 1);
 the sweep's peak memory is a fixed multiple of those.  The sweep's time is
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import EQ4_REFINE_POINTS, run_criteria
+from .criteria import default_grid, run_criteria
 from .modelio import LoadedModel, ModelFileError, load_model_file
 from .models import ModelEvaluationError, ModelParameterError
 from .periodic import (
@@ -69,7 +70,6 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
-CRITERIA_GRID = 16  # the criteria's grid resolution when --grid is not given
 # rows * n * n of the largest Jacobian batch a --grid or --samples value may
 # ask for (512 MiB of floats); the period map's tangent pass holds several
 MAX_BATCH_ENTRIES = 1 << 26
@@ -127,25 +127,20 @@ def _check_span(config: IntegrationConfig, periods: float, flag: str) -> None:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _check_batch(flag: str, rows: int, n: int, default: int | None = None) -> None:
-    """Refuse, before any array is built, a flag value that asks for a batch
-    of ``rows`` states whose Jacobians exceed ``MAX_BATCH_ENTRIES`` floats;
-    ``default`` is the value taken for a flag that was not given."""
+def _check_batch(flag: str, rows: int, n: int) -> None:
+    """Refuse a flag asking for ``rows`` states whose Jacobians exceed ``MAX_BATCH_ENTRIES``."""
     if rows * n * n > MAX_BATCH_ENTRIES:
-        given = "" if default is None else f"not given, so the default {default} "
         raise UsageError(
-            f"{flag}: {given}asks for a batch of {rows} points; at most "
+            f"{flag}: asks for a batch of {rows} points; at most "
             f"{MAX_BATCH_ENTRIES // (n * n)} for {n} species"
-            + ("" if default is None else f"; a smaller {flag} is accepted")
         )
 
 
 def _check_criteria_batches(args, n: int) -> None:
-    """The criteria evaluate M on a grid of m^n points and on Eq4's refinement
-    of 9^n points (the larger for m < 9), and C5's Jacobian once per sample."""
-    default = None if args.grid else CRITERIA_GRID
-    _check_batch("--grid", (args.grid or CRITERIA_GRID) ** n, n, default)
-    _check_batch("--grid (Eq4's refinement)", EQ4_REFINE_POINTS**n, n)
+    """Bound the criteria's grid of m^n points for an explicit ``--grid m`` (the
+    default grid is small for every n) and C5's Jacobian batch, one per sample."""
+    if args.grid is not None:
+        _check_batch("--grid", args.grid**n, n)
     _check_batch("--samples", args.samples, n)
 
 
@@ -160,7 +155,8 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         "--out": dict(default=None, help="output path"),
         "--seed": dict(type=_int_at_least(0), default=42),
         "--tol": dict(type=_positive_float, default=1e-10),
-        "--grid": dict(type=_int_at_least(1), default=None, help="grid resolution m"),
+        "--grid": dict(type=_int_at_least(1), default=None, help="grid resolution m; the "
+                       "criteria's default is the largest m <= 16 with m^n <= 16^4"),
         "--samples": dict(type=_int_at_least(1), default=10_000),
         "--max-iter": dict(type=_int_at_least(1), default=5_000),
         "--format": dict(choices=("json", "csv"), default="json"),
@@ -244,9 +240,7 @@ def main(argv=None) -> int:
 def _collect_conditions(loaded: LoadedModel, model, args) -> list:
     """A1-A4 of a periodic system, then every criterion on the map ``model``."""
     conditions = [] if loaded.system is None else check_a_conditions(loaded.system)
-    return conditions + run_criteria(
-        model, grid_resolution=args.grid or CRITERIA_GRID, samples=args.samples, seed=args.seed
-    )
+    return conditions + run_criteria(model, args.grid, samples=args.samples, seed=args.seed)
 
 
 def _verdict_code(conditions) -> int:
@@ -266,11 +260,11 @@ def cmd_check(args) -> int:
         "model": str(args.model),
         "type": loaded.family,
         "seed": args.seed,
-        "grid_resolution": args.grid or CRITERIA_GRID,
+        "grid_resolution": args.grid or default_grid(loaded.n),
         "samples": args.samples,
         "conditions": [c.to_record() for c in conditions],
     }
-    out = args.out or "criteria_report.json"
+    out = args.out or f"criteria_report.{args.format}"
     if args.format == "json":
         _write_json(payload, out)
     else:

@@ -38,7 +38,8 @@ RETROTONE_MIN_PAIRS = 100  # C3 is inconclusive on fewer accepted pairs
 AXIAL_STEPS = 1_000  # C4 iterates each axis start this often ...
 AXIAL_TOL = 1e-8  # ... to come within this of q_i
 INVPOS_POINTS = 100  # random InvPos probe points in (0, q], besides q and q_i e_i
-EQ4_REFINE_POINTS = 9  # Eq4 refines on this many points per axis, 9^n in all
+EQ4_REFINE_POINTS = 9  # Eq4 refines on at most this many points per axis
+GRID_POINTS = 16**4  # the default (0, q] grid has at most this many points
 
 
 @dataclass
@@ -154,16 +155,19 @@ def _region_samples(
     return np.vstack(parts)
 
 
+def default_grid(n: int) -> int:
+    """The default grid resolution: the largest m <= 16 with m^n <= ``GRID_POINTS``."""
+    return max(m for m in range(1, 17) if m**n <= GRID_POINTS)
+
+
 def _grid_points(q: np.ndarray, resolution: int) -> np.ndarray:
     """Regular grid over (0, q]: k * q / m per axis, k = 1..m."""
     return _mesh_points([q_i * np.arange(1, resolution + 1) / resolution for q_i in q])
 
 
 def _grid_competition_matrices(model: CompetitionModel, resolution: int):
-    """The (0, q] grid and M at its points, for Eq3a/Eq3b and Eq4's first
-    pass: computed once per model and resolution and cached on the instance,
-    as q is, so that for the period map the checkers share one tangent pass.
-    The arrays are read-only because both checkers share them."""
+    """The (0, q] grid and M on it for Eq3a/Eq3b and Eq4's first pass, cached
+    read-only on the instance per resolution, as q is: one tangent pass for both."""
     cached = getattr(model, "_grid_competition", None)
     if cached is not None and cached[0] == resolution:
         return cached[1]
@@ -530,14 +534,15 @@ def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult
     )
 
 
-def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> ConditionResult:
+def check_spectral_grid(model: CompetitionModel, grid_resolution: int) -> ConditionResult:
     """Spectral radius of the competition matrix stays below 1 on (0, q].
 
-    Evaluates rho(M(x)) on a regular grid (origin excluded by one grid
-    step), refines at 4x density on ``EQ4_REFINE_POINTS``^n points around
-    the argmax, and labels the verdict as sampled.  M is evaluated in one
-    batch per grid, on the regular grid once per model and resolution,
-    shared with Eq3a/Eq3b; the spectral radius is taken matrix by matrix.
+    Evaluates rho(M(x)) on a regular grid (origin excluded by one grid step),
+    refines on k^n points within a step of the argmax, where k is
+    ``EQ4_REFINE_POINTS`` or ``default_grid(n)`` if smaller (4x density for
+    n <= 5), and labels the verdict as sampled.  M is evaluated in one batch
+    per grid, on the regular grid once per model and resolution, shared with
+    Eq3a/Eq3b; the spectral radius is taken matrix by matrix.
     """
     q = model.verified_axial_fixed_points()
     pts, M = _grid_competition_matrices(model, grid_resolution)
@@ -548,7 +553,7 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> C
     total = int(pts.shape[0])
 
     step = q / grid_resolution
-    offsets = np.linspace(-1.0, 1.0, EQ4_REFINE_POINTS)
+    offsets = np.linspace(-1.0, 1.0, min(EQ4_REFINE_POINTS, default_grid(model.n)))
     refined = _mesh_points(
         [np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i]) for i in range(model.n)]
     )
@@ -564,13 +569,10 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int = 16) -> C
 
 
 def check_gershgorin_grid(
-    model: CompetitionModel, grid_resolution: int = 16
+    model: CompetitionModel, grid_resolution: int
 ) -> tuple[ConditionResult, ConditionResult]:
-    """Column-sum (Eq3a) and row-sum (Eq3b) bounds of M(x) over the (0, q] grid.
-
-    M on the grid is evaluated once per model and resolution, shared with
-    Eq4's unrefined grid.
-    """
+    """Column-sum (Eq3a) and row-sum (Eq3b) bounds of M(x) over the (0, q] grid,
+    M evaluated once per model and resolution, shared with Eq4's first pass."""
     pts, M = _grid_competition_matrices(model, grid_resolution)
     col_sums = M.sum(axis=1)  # (N, n): column j sums per point
     row_sums = M.sum(axis=2)
@@ -664,11 +666,14 @@ def family_criterion(model: CompetitionModel) -> ConditionResult:
 
 def run_criteria(
     model: CompetitionModel,
-    grid_resolution: int = 16,
+    grid_resolution: int | None = None,
     samples: int = 10_000,
     seed: int = 42,
 ) -> list[ConditionResult]:
     """Run every condition checker; one record per id, C0 to Model in report order.
+
+    Eq3a/Eq3b and Eq4 take the grid at ``grid_resolution``, by default
+    ``default_grid(n)``, whose m^n points stay within ``GRID_POINTS``.
 
     A checker that needs q (C1-C3, C5, Eq3a/Eq3b, Eq4, InvPos) is
     inconclusive when q cannot be verified, and so is any checker whose model
@@ -684,6 +689,7 @@ def run_criteria(
         q = model.verified_axial_fixed_points()
     except (ModelParameterError, ModelEvaluationError):
         q = None
+    grid_resolution = grid_resolution or default_grid(model.n)
 
     def guarded(ids, checker) -> list[ConditionResult]:
         """The checker's records, or an inconclusive one per id saying why not."""

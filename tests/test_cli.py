@@ -24,8 +24,18 @@ OVERSHOOT = {
 PLANAR4_ROW = [1.0, 0.8, 0.6, 0.4]
 PLANAR4 = {"type": "leslie_gower", "n": 4, "C": [1.1] * 4, "A": [PLANAR4_ROW] * 4}
 MAY1 = {"type": "may_oster", "n": 1, "B": [0.5], "A": [[1.0]]}
-# model files that the byte-identity test writes from these descriptions
-INLINE_MODELS = {"MAY1": MAY1, "OVERSHOOT": OVERSHOOT, "PLANAR4": PLANAR4}
+
+
+def weak_may_oster(n: int) -> dict:
+    """n weakly coupled May-Oster species: B = 0.4, A_ii = 1 and A_ij = 0.05."""
+    A = (0.05 + 0.95 * np.eye(n)).tolist()
+    return {"type": "may_oster", "n": n, "B": [0.4] * n, "A": A}
+
+
+# model files that tests write from these descriptions
+INLINE_MODELS = {
+    "MAY1": MAY1, "OVERSHOOT": OVERSHOOT, "PLANAR4": PLANAR4, "MAY5": weak_may_oster(5)
+}
 
 
 def model(name: str) -> str:
@@ -176,42 +186,109 @@ def test_grid_and_samples_at_the_batch_bound_are_accepted(argv, overshoot_withou
         main([argv[0], "--model", str(overshoot_without_map), *argv[1:]])
 
 
-def test_a_refused_default_grid_is_named_as_the_default(tmp_path, capsys, no_map_model):
-    path = tmp_path / "may6.json"
-    A = (0.05 + 0.95 * np.eye(6)).tolist()
-    path.write_text(json.dumps({"type": "may_oster", "n": 6, "B": [0.4] * 6, "A": A}))
+def may_oster_file(directory: Path, n: int) -> Path:
+    path = directory / f"may{n}.json"
+    path.write_text(json.dumps(weak_may_oster(n)))
+    return path
+
+
+def test_six_species_take_the_default_grid_and_an_explicit_one_is_bounded(
+    tmp_path, capsys, no_map_model
+):
+    path = may_oster_file(tmp_path, 6)
     for command in ("check", "simplex"):
-        assert main([command, "--model", str(path), "--out", str(tmp_path / "out")]) == 64
-        assert capsys.readouterr().err == (
-            "error: --grid: not given, so the default 16 asks for a batch of 16777216 "
-            "points; at most 1864135 for 6 species; a smaller --grid is accepted\n"
-        )
+        with pytest.raises(AssertionError, match="a map model was built"):
+            main([command, "--model", str(path)])  # default grid 6: 6^6 = 46,656 points
+    argv = ["check", "--model", str(path), "--grid", "12", "--out", str(tmp_path / "out")]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == (
+        "error: --grid: asks for a batch of 2985984 points; at most 1864135 for 6 species\n"
+    )
     assert list(tmp_path.iterdir()) == [path]
     with pytest.raises(AssertionError, match="a map model was built"):
         main(["check", "--model", str(path), "--grid", "11"])  # 11^6 = 1,771,561 points
 
 
-def test_eq4_refinement_counts_toward_the_batch_bound(tmp_path, capsys, no_map_model):
-    """Eq4 refines on 9^n points whatever the grid, so below --grid 9 that
-    batch is the larger one, and at n = 7 it exceeds the bound."""
-
-    def may_oster_file(n):
-        path = tmp_path / f"may{n}.json"
-        A = (0.05 + 0.95 * np.eye(n)).tolist()
-        path.write_text(json.dumps({"type": "may_oster", "n": n, "B": [0.4] * n, "A": A}))
-        return path
-
-    may7, may6 = may_oster_file(7), may_oster_file(6)
+def test_eq4_refinement_stays_within_the_bound_at_seven_species(tmp_path, capsys, no_map_model):
+    """Eq4 refines on at most default_grid(n)^n points, 4^7 here, whatever the
+    grid, so a small --grid is accepted and only a large one is refused."""
+    path = may_oster_file(tmp_path, 7)
     for command in ("check", "simplex"):
-        argv = [command, "--model", str(may7), "--grid", "2", "--out", str(tmp_path / "out")]
+        for grid in ("2", "7"):  # 7^7 = 823,543 points
+            with pytest.raises(AssertionError, match="a map model was built"):
+                main([command, "--model", str(path), "--grid", grid])
+        argv = [command, "--model", str(path), "--grid", "8", "--out", str(tmp_path / "out")]
         assert main(argv) == 64
         assert capsys.readouterr().err == (
-            "error: --grid (Eq4's refinement): asks for a batch of 4782969 points; "
-            "at most 1369568 for 7 species\n"
+            "error: --grid: asks for a batch of 2097152 points; at most 1369568 for 7 species\n"
         )
-    assert sorted(tmp_path.iterdir()) == [may6, may7]
-    with pytest.raises(AssertionError, match="a map model was built"):
-        main(["check", "--model", str(may6), "--grid", "2"])  # 9^6 = 531,441 points
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_no_number_of_species_is_refused_at_the_defaults(n, tmp_path, no_map_model):
+    path = may_oster_file(tmp_path, n)
+    for command in ("check", "simplex"):
+        with pytest.raises(AssertionError, match="a map model was built"):
+            main([command, "--model", str(path)])
+
+
+def cheap_radius(M):
+    """The largest column sum of |M|, a bound on rho(M) that costs no eigensolve."""
+    return float(np.abs(M).sum(axis=0).max())
+
+
+@pytest.mark.parametrize(
+    "name, extra, grid",
+    [
+        ("may2", [], 16),
+        ("leslie2", [], 16),
+        ("neural2", [], 16),
+        ("may1_b3", [], 16),
+        ("periodic_lv2", ["--ode-steps", "64"], 16),
+        ("PLANAR4", [], 16),
+        ("MAY5", [], 9),
+    ],
+)
+def test_check_without_grid_writes_the_report_of_its_default_grid(
+    name, extra, grid, tmp_path, monkeypatch
+):
+    """The grid is what is compared, so Eq4's radius is swapped for a cheap bound."""
+    monkeypatch.setattr("carrysim.criteria.spectral_radius", cheap_radius)
+    path = model(name)
+    if name in INLINE_MODELS:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(INLINE_MODELS[name]))
+    argv, reports = ["check", "--model", str(path), "--samples", "500", *extra], []
+    for flags in ([], ["--grid", str(grid)]):
+        out = tmp_path / f"report{len(reports)}.json"
+        main([*argv, "--out", str(out), *flags])
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["grid_resolution"] == grid
+    eq3a = next(c for c in report["conditions"] if c["id"] == "Eq3a")
+    assert eq3a["samples"] == grid ** len(eq3a["witness"]["x"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_check_names_its_default_report_after_the_format(fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--model", model("may2"), "--samples", "500", "--format", fmt]) == 0
+    assert capsys.readouterr().out.endswith(f"report written to criteria_report.{fmt}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [f"criteria_report.{fmt}"]
+    text = (tmp_path / f"criteria_report.{fmt}").read_text()
+    assert text.startswith("{" if fmt == "json" else "id,verdict,worst\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["check"], ["simplex"], ["simulate"], ["sweep1d"], ["wangjiang"]]
+)
+def test_help_exits_0_with_a_usage_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['carrysim', *argv])} ")
 
 
 SWEEP = ["sweep1d", "--b-min", "1", "--b-max", "2"]

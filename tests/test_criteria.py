@@ -192,6 +192,18 @@ class TestSpectralGrid:
         assert res.verdict == "pass_sampled"
         assert res.worst < 0.45
 
+    def test_default_grid_is_the_largest_m_within_the_budget(self):
+        grids = [criteria.default_grid(n) for n in range(1, 21)]
+        assert grids == [16] * 4 + [9, 6, 4, 4, 3, 3] + [2] * 6 + [1] * 4
+        for n, m in enumerate(grids, start=1):
+            assert m**n <= criteria.GRID_POINTS
+            assert m == 16 or (m + 1) ** n > criteria.GRID_POINTS
+
+    @pytest.mark.parametrize("n, refined", [(3, 9**3), (11, 2**11), (17, 1)])
+    def test_eq4_refines_on_at_most_the_default_grid(self, n, refined):
+        model = MayOsterModel([0.4] * n, 0.05 + 0.95 * np.eye(n))
+        assert check_spectral_grid(model, grid_resolution=1).samples == 1 + refined
+
     def test_gershgorin_grid(self, may2):
         eq3a, eq3b = check_gershgorin_grid(may2, grid_resolution=16)
         assert eq3a.id == "Eq3a" and eq3b.id == "Eq3b"
