@@ -13,6 +13,13 @@ the absent species are zero) restrict to it by a mask of the nonzero
 coordinates: C2, C3 and C5 mask the entries off the support, and InvPos
 takes its support patterns, and each point's pattern, from one ``np.unique``
 of that mask.
+
+``run_criteria`` calls every checker by name, but the checkers share model
+evaluations, each of which is an RK4 pass with a large fixed cost for the
+period map: C2 and C3 each step their two point sets in one call, and one
+tangent pass at C5's turn serves C5's samples, the (0, q] grid of Eq3a/Eq3b
+and Eq4, and the InvPos probe, whose rows each reader reads back.  The
+passes of a run are listed in :func:`run_criteria`.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .models import (
     ModelEvaluationError,
     ModelParameterError,
     NeuralNetModel,
+    _diag_embed,
     _reduce_columns,
     as_state,
 )
@@ -95,10 +103,11 @@ def competition_matrix(model: CompetitionModel, x) -> np.ndarray:
     """M(x) with entries -(x_i / G_i(x)) * dG_i/dx_j; broadcasts over batches.
 
     Defined only where every growth factor is positive; then
-    T'(x) = diag(G(x)) (I - M(x)).
+    T'(x) = diag(G(x)) (I - M(x)).  Where x is the (0, q] grid of a
+    ``run_criteria`` call, G and G' are read back from its joint tangent pass.
     """
     x = np.asarray(x, dtype=float)
-    g, gp = model.growth_and_jacobian(x)
+    g, gp = _read_back(model, "grid", x, model.growth_and_jacobian)
     if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
         raise ValueError("competition matrix undefined (nonpositive growth factor)")
     return -(x / g)[..., :, None] * gp
@@ -165,23 +174,73 @@ def _grid_points(q: np.ndarray, resolution: int) -> np.ndarray:
     return _mesh_points([q_i * np.arange(1, resolution + 1) / resolution for q_i in q])
 
 
+def _read_back(model: CompetitionModel, key: str, pts: np.ndarray, evaluate, keep=False):
+    """``evaluate(pts)``, or the value the instance holds under ``key`` for these very points.
+
+    A reader takes a held value once, unless ``keep``; with ``keep`` a value
+    it evaluates is held too, read-only, in place of the key's last one.
+    """
+    held = model.__dict__.setdefault("_held", {})
+    if key in held and np.array_equal(held[key][0], pts):
+        return held[key][1] if keep else held.pop(key)[1]
+    value = evaluate(pts)
+    if keep:
+        pts.setflags(write=False)
+        value.setflags(write=False)
+        held[key] = (pts, value)
+    return value
+
+
+def _hold_tangent_pass(
+    model: CompetitionModel, c5_pts: np.ndarray, grid_pts: np.ndarray, probe_pts: np.ndarray
+) -> None:
+    """One tangent pass on C5's samples, the (0, q] grid and the InvPos probe's
+    nonzero points.  The instance then holds, for :func:`_read_back` and in
+    place of all it held: G' on the samples for C5, G and G' on the grid for
+    ``competition_matrix``, and T' on the probe, formed as ``step_jacobian``
+    forms it, for InvPos.
+
+    A row of a batch of two or more gets the same bits whatever else is in
+    the batch, so each reader gets the bits it would evaluate.  If the pass
+    raises, nothing is held: each reader evaluates its own points and meets
+    its own error.  Only C5's G' is a view of the stacked arrays, which are
+    freed once C5 has taken it.
+    """
+    try:
+        g, gp = model.growth_and_jacobian(np.vstack([c5_pts, grid_pts, probe_pts]))
+    except (ModelEvaluationError, ValueError):
+        return
+    a, b = len(c5_pts), len(c5_pts) + len(grid_pts)
+    model._held = {
+        "C5": (c5_pts, gp[:a]),
+        "grid": (grid_pts, (g[a:b].copy(), gp[a:b].copy())),
+        "InvPos": (probe_pts, _diag_embed(g[b:]) + probe_pts[..., :, None] * gp[b:]),
+    }
+
+
 def _grid_competition_matrices(model: CompetitionModel, resolution: int):
-    """The (0, q] grid and M on it for Eq3a/Eq3b and Eq4's first pass, cached
-    read-only on the instance per resolution, as q is: one tangent pass for both."""
-    cached = getattr(model, "_grid_competition", None)
-    if cached is not None and cached[0] == resolution:
-        return cached[1]
+    """The (0, q] grid and M on it for Eq3a/Eq3b and Eq4's first pass, held
+    read-only on the instance per resolution, as q is: one evaluation for both."""
     pts = _grid_points(model.verified_axial_fixed_points(), resolution)
-    M = competition_matrix(model, pts)
-    pts.setflags(write=False)
-    M.setflags(write=False)
-    model._grid_competition = (resolution, (pts, M))
-    return pts, M
+    return pts, _read_back(model, "M", pts, lambda x: competition_matrix(model, x), keep=True)
 
 
 def _mesh_points(axes) -> np.ndarray:
     """Every combination of the per-axis values, one point per row."""
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _step_stacked(model: CompetitionModel, batches: np.ndarray) -> np.ndarray:
+    """``model.step`` of each (N, n) batch of ``batches``, by one call on them all.
+
+    A row of a batch of two or more gets the same bits whatever else is in
+    the batch.  If the joint call raises ``ModelEvaluationError``, each batch
+    takes a call of its own, which raises what it raises.
+    """
+    try:
+        return model.step(batches.reshape(-1, model.n)).reshape(batches.shape)
+    except ModelEvaluationError:
+        return np.array([model.step(batch) for batch in batches])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +318,8 @@ def check_sublinearity(
 
     Strict inequality is required on the support of x (off-support
     coordinates are identically zero on both sides); equality counts as a
-    failure, margins below 1e-12 are counted as near-ties.
+    failure, margins below 1e-12 are counted as near-ties.  x and lambda x
+    are stepped in one call.
     """
     rng = np.random.default_rng(seed)
     pts = _region_samples(model, samples, rng)
@@ -267,9 +327,8 @@ def check_sublinearity(
     pts = pts[keep]
     lam = np.clip(rng.random(pts.shape[0]) * (1.0 - 1e-6), 1e-9, None)
 
-    lhs = lam[:, None] * model.step(pts)
-    rhs = model.step(lam[:, None] * pts)
-    diff = rhs - lhs
+    images = _step_stacked(model, np.stack([pts, lam[:, None] * pts]))
+    diff = images[1] - lam[:, None] * images[0]
     on_support = pts > 0.0
     margins = _reduce_columns(np.minimum, np.where(on_support, diff, np.inf))
 
@@ -294,14 +353,14 @@ def check_retrotone(
     """Backward monotonicity: T(x) majorizing T(y) forces x to strictly majorize y.
 
     Pairs are rejection-sampled from a common facet closure until T(x) > T(y)
-    in the cone order; the accepted pairs are then checked.
+    in the cone order; the accepted pairs are then checked.  xs and ys are
+    drawn as one block and stepped in one call.
     """
     rng = np.random.default_rng(seed)
     upper = _sampling_box(model)
     n = upper.size
 
-    xs = rng.random((samples, n)) * upper
-    ys = rng.random((samples, n)) * upper
+    pairs = rng.random((2, samples, n)) * upper  # xs, then ys
     # push a share of the pairs onto common proper facets
     facet_share = rng.random(samples) < 0.3
     if n > 1:
@@ -309,11 +368,10 @@ def check_retrotone(
         masks[~facet_share] = True
         empty = ~masks.any(axis=1)
         masks[empty] = True
-        xs = np.where(masks, xs, 0.0)
-        ys = np.where(masks, ys, 0.0)
+        pairs[:, ~masks] = 0.0
 
-    tx = model.step(xs)
-    ty = model.step(ys)
+    xs, ys = pairs
+    tx, ty = _step_stacked(model, pairs)
     accepted = _reduce_columns(np.logical_and, tx >= ty) & _reduce_columns(np.logical_or, tx > ty)
     xs, ys = xs[accepted], ys[accepted]
     n_acc = int(xs.shape[0])
@@ -444,14 +502,15 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
 def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> ConditionResult:
     """Strictly negative growth Jacobian on the support of every sampled point.
 
-    The Jacobian is evaluated once on the whole sample, and the largest entry
-    of each support block is one maximum over the stack with the entries off
-    the support masked to -inf; the witness (i, j) is read off the worst
-    point's masked matrix.  Points with an empty support are vacuous.
+    The Jacobian is evaluated once on the whole sample, or read back from
+    ``run_criteria``'s shared tangent pass, and the largest entry of each
+    support block is one maximum over the stack with the entries off the
+    support masked to -inf; the witness (i, j) is read off the worst point's
+    masked matrix.  Points with an empty support are vacuous.
     """
     rng = np.random.default_rng(seed)
     pts = _region_samples(model, samples, rng, include_origin=True)
-    jac = model.growth_jacobian(pts)
+    jac = _read_back(model, "C5", pts, model.growth_jacobian)
 
     on = pts != 0.0
     masked = np.where(on[:, :, None] & on[:, None, :], jac, -np.inf)
@@ -481,16 +540,17 @@ def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> 
 def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult:
     """[T'(x)] restricted to the support of x has an entrywise-positive inverse.
 
-    T' is evaluated once on all points with a nonempty support.  The support
-    patterns, and each point's pattern, come from one ``np.unique`` of the
-    nonzero mask, and the principal submatrices are inverted one stack per
-    pattern.  A submatrix with zero determinant counts as singular.  The
-    result is that of a scan in input order: it stops at the first failing
-    point, and ``samples`` counts the points with a nonempty support up to it.
+    T' is evaluated once on all points with a nonempty support, or read back
+    from ``run_criteria``'s shared tangent pass.  The support patterns, and
+    each point's pattern, come from one ``np.unique`` of the nonzero mask,
+    and the principal submatrices are inverted one stack per pattern.  A
+    submatrix with zero determinant counts as singular.  The result is that
+    of a scan in input order: it stops at the first failing point, and
+    ``samples`` counts the points with a nonempty support up to it.
     """
     pts = np.array([as_state(x, model.n) for x in points], dtype=float).reshape(-1, model.n)
     pts = pts[np.any(pts != 0.0, axis=1)]
-    jac = model.step_jacobian(pts)
+    jac = _read_back(model, "InvPos", pts, model.step_jacobian)
 
     entries = np.full(pts.shape[0], np.nan)
     singular = np.zeros(pts.shape[0], dtype=bool)
@@ -538,11 +598,13 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int) -> Condit
     """Spectral radius of the competition matrix stays below 1 on (0, q].
 
     Evaluates rho(M(x)) on a regular grid (origin excluded by one grid step),
-    refines on k^n points within a step of the argmax, where k is
-    ``EQ4_REFINE_POINTS`` or ``default_grid(n)`` if smaller (4x density for
-    n <= 5), and labels the verdict as sampled.  M is evaluated in one batch
-    per grid, on the regular grid once per model and resolution, shared with
-    Eq3a/Eq3b; the spectral radius is taken matrix by matrix.
+    refines on k^n points within a step of the argmax, and labels the verdict
+    as sampled.  k is the largest odd number up to ``EQ4_REFINE_POINTS`` and
+    ``default_grid(n)``, so that the argmax is a refined point: 9 for n <= 5
+    (4x density), 5 for n = 6 and 3 for n = 7-10; from n = 11 it is 1 and
+    there is no refinement.  M is evaluated in one batch per grid, on the
+    regular grid once per model and resolution, shared with Eq3a/Eq3b; the
+    spectral radius is taken matrix by matrix.
     """
     q = model.verified_axial_fixed_points()
     pts, M = _grid_competition_matrices(model, grid_resolution)
@@ -552,17 +614,20 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int) -> Condit
     witness = pts[worst_idx]
     total = int(pts.shape[0])
 
-    step = q / grid_resolution
-    offsets = np.linspace(-1.0, 1.0, min(EQ4_REFINE_POINTS, default_grid(model.n)))
-    refined = _mesh_points(
-        [np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i]) for i in range(model.n)]
-    )
-    rhos_ref = np.array([spectral_radius(M) for M in competition_matrix(model, refined)])
-    total += int(refined.shape[0])
-    k = int(np.argmax(rhos_ref))
-    if rhos_ref[k] > worst:
-        worst = float(rhos_ref[k])
-        witness = refined[k]
+    per_axis = min(EQ4_REFINE_POINTS, default_grid(model.n))
+    per_axis -= 1 - per_axis % 2
+    if per_axis > 1:
+        step = q / grid_resolution
+        offsets = np.linspace(-1.0, 1.0, per_axis)
+        refined = _mesh_points(
+            [np.clip(witness[i] + offsets * step[i], step[i] / 4.0, q[i]) for i in range(model.n)]
+        )
+        rhos_ref = np.array([spectral_radius(M) for M in competition_matrix(model, refined)])
+        total += int(refined.shape[0])
+        k = int(np.argmax(rhos_ref))
+        if rhos_ref[k] > worst:
+            worst = float(rhos_ref[k])
+            witness = refined[k]
 
     verdict = "pass_sampled" if worst < 1.0 else "fail"
     return ConditionResult("Eq4", verdict, worst=worst, witness=witness, samples=total)
@@ -675,6 +740,25 @@ def run_criteria(
     Eq3a/Eq3b and Eq4 take the grid at ``grid_resolution``, by default
     ``default_grid(n)``, whose m^n points stay within ``GRID_POINTS``.
 
+    The model evaluations of a run, each one pass of the period map:
+
+    - q: the axis Newton solve's tangent passes and q's verification, made
+      once and shared by every checker that needs q;
+    - C0: G(0); C1: one per step of the orbit of 2q;
+    - C2: one step of x and lambda x, stacked; C3: one step of xs and ys;
+    - C5's turn: one tangent pass on C5's samples, the grid and the InvPos
+      probe.  C5 reads G' back, Eq3a/Eq3b build M on the grid from G and G'
+      and share it with Eq4, and InvPos reads T' back;
+    - Eq4's refinement, around the grid's argmax, one tangent pass.
+
+    On the bundled periodic model that is 10 passes, 14 if each checker
+    evaluated on its own.  The records are those of the checkers called one
+    by one, bit for bit, as a row of a batch of two or more gets the same
+    bits whatever else is in the batch; where a checker alone evaluates one
+    row (``samples`` or ``grid_resolution`` 1) its float may differ.  If a
+    shared evaluation raises, each checker evaluates on its own and meets
+    its own error.
+
     A checker that needs q (C1-C3, C5, Eq3a/Eq3b, Eq4, InvPos) is
     inconclusive when q cannot be verified, and so is any checker whose model
     evaluation fails, C0 included; C4 reports a missing q, or an evaluation
@@ -702,18 +786,27 @@ def run_criteria(
                 why = str(exc)
         return [ConditionResult(i, "inconclusive", note=why) for i in ids]
 
-    def probe():
+    if q is not None:
         rng = np.random.default_rng(seed)
-        return np.vstack([rng.random((INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
+        probe = np.vstack([rng.random((INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
+
+    def c5():
+        _hold_tangent_pass(
+            model,
+            _region_samples(model, samples, np.random.default_rng(seed), include_origin=True),
+            _grid_points(q, grid_resolution),
+            probe[np.any(probe != 0.0, axis=1)],
+        )
+        return [check_c5(model, samples, seed)]
 
     conditions += guarded(["C1"], lambda: [check_attractor_bound(model)])
     conditions += guarded(["C2"], lambda: [check_sublinearity(model, samples, seed)])
     conditions += guarded(["C3"], lambda: [check_retrotone(model, samples, seed)])
     conditions.append(check_axial(model))
-    conditions += guarded(["C5"], lambda: [check_c5(model, samples, seed)])
+    conditions += guarded(["C5"], c5)
     conditions += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(model, grid_resolution))
     conditions += guarded(["Eq4"], lambda: [check_spectral_grid(model, grid_resolution)])
-    conditions += guarded(["InvPos"], lambda: [check_inverse_positivity(model, probe())])
+    conditions += guarded(["InvPos"], lambda: [check_inverse_positivity(model, probe)])
     if q is not None:
         conditions[-1].seed = seed  # the probe's seed, also on an inconclusive record
     conditions.append(family_criterion(model))

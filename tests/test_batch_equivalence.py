@@ -561,13 +561,18 @@ def recorded_inputs(monkeypatch, model, method):
 @pytest.mark.parametrize("model", SAMPLED_MODELS, ids=["n1", "n2", "n3"])
 def test_sampled_checkers_draw_the_reference_stream(model, seed, monkeypatch):
     upper = 1.5 * model.verified_axial_fixed_points()  # cached: q costs no map call below
-    # C2 without the origin row: the first map call holds the nonzero samples
+    # C2 without the origin row: one map call holds the nonzero samples x,
+    # then lambda x, with lambda drawn after x from the same stream
     steps = recorded_inputs(monkeypatch, model, "step")
     check_sublinearity(model, samples=997, seed=seed)
-    pts = reference_region_samples(model, 997, np.random.default_rng(seed))
-    assert np.array_equal(steps[0], pts[pts.sum(axis=1) > 0.0])
+    rng = np.random.default_rng(seed)
+    pts = reference_region_samples(model, 997, rng)
+    pts = pts[pts.sum(axis=1) > 0.0]
+    lam = np.clip(rng.random(len(pts)) * (1.0 - 1e-6), 1e-9, None)
+    assert len(steps) == 1 and np.array_equal(steps[0], np.vstack([pts, lam[:, None] * pts]))
 
-    # C3: two box draws, then the facet masks from the same stream
+    # C3: two box draws, then the facet masks from the same stream; one map
+    # call holds xs, then ys
     steps.clear()
     check_retrotone(model, samples=997, seed=seed)
     rng = np.random.default_rng(seed)
@@ -579,7 +584,7 @@ def test_sampled_checkers_draw_the_reference_stream(model, seed, monkeypatch):
         masks[~facet_share] = True
         masks[~masks.any(axis=1)] = True
         xs, ys = np.where(masks, xs, 0.0), np.where(masks, ys, 0.0)
-    assert np.array_equal(steps[0], xs) and np.array_equal(steps[1], ys)
+    assert len(steps) == 1 and np.array_equal(steps[0], np.vstack([xs, ys]))
 
     # C5 with the origin row: one Jacobian call on the whole sample
     jacobians = recorded_inputs(monkeypatch, model, "growth_jacobian")

@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carrysim import criteria
+from carrysim import criteria, periodic
+from carrysim.cli import main
 from carrysim.criteria import (
     RETROTONE_MIN_PAIRS,
+    ConditionResult,
     check_attractor_bound,
     check_axial,
     check_c0,
@@ -16,12 +18,18 @@ from carrysim.criteria import (
     check_spectral_grid,
     check_sublinearity,
     competition_matrix,
+    default_grid,
     family_criterion,
     run_criteria,
     spectral_radius,
 )
 from carrysim.modelio import load_model_file
-from carrysim.models import LeslieGowerModel, MayOsterModel, NeuralNetModel
+from carrysim.models import (
+    LeslieGowerModel,
+    MayOsterModel,
+    ModelEvaluationError,
+    NeuralNetModel,
+)
 from carrysim.periodic import IntegrationConfig, check_a_conditions
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -199,10 +207,34 @@ class TestSpectralGrid:
             assert m**n <= criteria.GRID_POINTS
             assert m == 16 or (m + 1) ** n > criteria.GRID_POINTS
 
-    @pytest.mark.parametrize("n, refined", [(3, 9**3), (11, 2**11), (17, 1)])
+    @pytest.mark.parametrize("n, refined", [(3, 9**3), (7, 3**7), (11, 0), (17, 0)])
     def test_eq4_refines_on_at_most_the_default_grid(self, n, refined):
         model = MayOsterModel([0.4] * n, 0.05 + 0.95 * np.eye(n))
         assert check_spectral_grid(model, grid_resolution=1).samples == 1 + refined
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_eq4_refinement_holds_the_grid_argmax(self, n, monkeypatch):
+        """M(x) is stubbed as x itself and rho peaks at a grid point, so no
+        eigensolve is taken; the refined points must include that point."""
+        model = MayOsterModel([0.4] * n, 0.05 + 0.95 * np.eye(n))
+        m = default_grid(n)
+        grid = criteria._grid_points(model.verified_axial_fixed_points(), m)
+        peak = grid[len(grid) // 2]
+        evaluated = []
+        monkeypatch.setattr(
+            criteria, "competition_matrix", lambda model, x: evaluated.append(x) or x[:, None, :]
+        )
+        monkeypatch.setattr(criteria, "spectral_radius", lambda M: -np.abs(M[0] - peak).sum())
+        result = check_spectral_grid(model, grid_resolution=m)
+        assert np.array_equal(evaluated[0], grid) and np.array_equal(result.witness, peak)
+        k = {1: 9, 2: 9, 3: 9, 4: 9, 5: 9, 6: 5, 7: 3, 8: 3, 9: 3, 10: 3}.get(n, 1)
+        if k == 1:  # the one refined point would be the argmax itself
+            assert len(evaluated) == 1 and result.samples == m**n
+        else:
+            refined = evaluated[1]
+            assert len(evaluated) == 2 and len(refined) == k**n
+            assert np.all(refined == peak, axis=1).any()
+            assert result.samples == m**n + k**n
 
     def test_gershgorin_grid(self, may2):
         eq3a, eq3b = check_gershgorin_grid(may2, grid_resolution=16)
@@ -432,14 +464,160 @@ def test_closed_forms_prove_nothing_from_c1_to_invpos(name):
     assert not [r.id for r in bundled_records(name) if r.id in sampled and r.verdict == "pass"]
 
 
+def holds_rows(x, rows) -> bool:
+    """Whether the batch ``x`` holds ``rows`` as consecutive rows."""
+    return any(np.array_equal(x[k : k + len(rows)], rows) for k in range(len(x) - len(rows) + 1))
+
+
 def test_eq3_and_eq4_share_one_evaluation_of_the_grid(monkeypatch):
-    # for the period map each evaluation of M on the grid is a tangent pass
+    # for the period map each evaluation of M on the grid is a tangent pass;
+    # the grid's rows ride in the one tangent pass that holds C5's samples
     model = load_model_file(MODELS / "periodic_lv2.json").map_model(IntegrationConfig(64))
     seen = []
     joint = model.growth_and_jacobian
     monkeypatch.setattr(model, "growth_and_jacobian", lambda x: seen.append(x) or joint(x))
     conditions = by_id(run_criteria(model, grid_resolution=8, samples=200, seed=1))
     grid = criteria._grid_points(model.verified_axial_fixed_points(), 8)
-    assert sum(np.array_equal(x, grid) for x in seen) == 1
+    c5 = criteria._region_samples(model, 200, np.random.default_rng(1), include_origin=True)
+    holding = [x for x in seen if holds_rows(x, grid)]
+    assert len(holding) == 1 and holds_rows(holding[0], c5)
     assert conditions["Eq4"].samples == 64 + 81
     assert conditions["Eq3a"].samples == conditions["Eq3b"].samples == 64
+
+
+def checkers_alone(model, grid_resolution, samples, seed):
+    """The records of ``run_criteria``, from each public checker called alone
+    and guarded as ``run_criteria`` guards it, with every model evaluation of
+    its own: C2 and C3 also step their two point sets in a call each."""
+    q = model.verified_axial_fixed_points()
+    rng = np.random.default_rng(seed)
+    probe = np.vstack([rng.random((criteria.INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
+
+    def guarded(ids, checker):
+        try:
+            return list(checker())
+        except (ModelEvaluationError, ValueError) as exc:
+            return [ConditionResult(i, "inconclusive", note=str(exc)) for i in ids]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            criteria, "_step_stacked", lambda model, batches: [model.step(b) for b in batches]
+        )
+        records = [check_c0(model)]
+        records += guarded(["C1"], lambda: [check_attractor_bound(model)])
+        records += guarded(["C2"], lambda: [check_sublinearity(model, samples, seed)])
+        records += guarded(["C3"], lambda: [check_retrotone(model, samples, seed)])
+    records.append(check_axial(model))
+    records += guarded(["C5"], lambda: [check_c5(model, samples, seed)])
+    records += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(model, grid_resolution))
+    records += guarded(["Eq4"], lambda: [check_spectral_grid(model, grid_resolution)])
+    records += guarded(["InvPos"], lambda: [check_inverse_positivity(model, probe)])
+    records[-1].seed = seed
+    records.append(family_criterion(model))
+    return [r.to_record() for r in records]
+
+
+def fresh_model(name):
+    return load_model_file(MODELS / f"{name}.json").map_model(IntegrationConfig(64))
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("seed", [5, 2026])
+@pytest.mark.parametrize("name", ["periodic_lv2", "may2", "leslie2", "neural2"])
+def test_run_criteria_records_equal_the_checkers_called_alone(name, seed):
+    model = fresh_model(name)
+    grid = default_grid(model.n)
+    records = [r.to_record() for r in run_criteria(model, seed=seed)]
+    assert records == checkers_alone(fresh_model(name), grid, 10_000, seed)
+
+
+def test_a_periodic_check_makes_ten_period_map_passes(tmp_path, monkeypatch):
+    """At the benchmark's arguments: the axis Newton solve's two tangent
+    passes, q's verification, C0, two C1 steps, C2, C3, the tangent pass at
+    C5's turn and Eq4's refinement."""
+    passes = []
+    log_gain = periodic._log_gain
+
+    def counted(table, x0, **kwargs):
+        passes.append(kwargs.get("tangent", False))
+        return log_gain(table, x0, **kwargs)
+
+    monkeypatch.setattr(periodic, "_log_gain", counted)
+    argv = ["check", "--model", str(MODELS / "periodic_lv2.json"), "--ode-steps", "64",
+            "--grid", "8", "--samples", "2000", "--seed", "1",
+            "--out", str(tmp_path / "report.json")]  # fmt: skip
+    assert main(argv) == 2  # inconclusive: no closed-form criterion for the period map
+    assert len(passes) == 10 and sum(passes) == 4
+
+
+class FaultyMayOster(MayOsterModel):
+    """May-Oster whose ``method``, ``step`` or ``growth_and_jacobian``, fails on
+    any batch that holds the row ``bad``: it raises an error that names the
+    batch's size, or with ``zero_growth`` the latter returns G = 0 there."""
+
+    method = "growth_and_jacobian"
+    bad = None
+    zero_growth = False
+
+    def hit(self, x, method):
+        return method == self.method and np.all(np.atleast_2d(x) == self.bad, axis=-1)
+
+    def step(self, x):
+        if np.any(self.hit(x, "step")):
+            raise ModelEvaluationError(f"T is not finite in a batch of {len(x)}")
+        return super().step(x)
+
+    def growth_and_jacobian(self, x):
+        g, gp = super().growth_and_jacobian(x)
+        hit = self.hit(x, "growth_and_jacobian")
+        if not np.any(hit):
+            return g, gp
+        if not self.zero_growth:
+            raise ModelEvaluationError(f"G' is not finite in a batch of {len(x)}")
+        return np.where(hit[:, None], 0.0, g), gp
+
+
+def second_set_row(checker):
+    """The first row of the second point set that ``checker`` steps on may2
+    at seed 7: lambda x for C2, y for C3."""
+    model = MayOsterModel([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]])
+    calls = []
+    step = model.step
+    model.step = lambda x: calls.append(x) or step(x)
+    checker(model, 2000, 7)
+    return calls[-1][len(calls[-1]) // 2]  # the last call: q's verification steps first
+
+
+def faulty_may2(where):
+    model = FaultyMayOster([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]])
+    q = model.verified_axial_fixed_points()
+    model.method = "step" if where in ("C2", "C3") else "growth_and_jacobian"
+    model.zero_growth = where == "grid-zero-growth"
+    model.bad = {
+        "C2": lambda: second_set_row(check_sublinearity),
+        "C3": lambda: second_set_row(check_retrotone),
+        "C5": lambda: np.zeros(2),  # only C5's samples hold the origin
+        "grid": lambda: q / 16.0,
+        "grid-zero-growth": lambda: q / 16.0,
+        "InvPos": lambda: np.random.default_rng(7).random(2) * q,  # the probe's first point
+    }[where]()
+    return model
+
+
+@pytest.mark.parametrize(
+    "where, faulted",
+    [
+        ("C2", {"C2"}),
+        ("C3", {"C3"}),
+        ("C5", {"C5"}),
+        ("grid", {"Eq3a", "Eq3b", "Eq4"}),
+        ("grid-zero-growth", {"Eq3a", "Eq3b", "Eq4"}),
+        ("InvPos", {"InvPos"}),
+    ],
+)
+def test_an_error_at_one_checkers_rows_stays_with_that_checker(where, faulted):
+    """The error's message names the batch's size, so a checker that met it
+    in a shared evaluation would not report what it reports alone."""
+    records = [r.to_record() for r in run_criteria(faulty_may2(where), samples=2000, seed=7)]
+    assert records == checkers_alone(faulty_may2(where), 16, 2000, 7)
+    assert {r["id"] for r in records if r["verdict"] == "inconclusive"} == faulted
