@@ -24,8 +24,11 @@ by default m = ``criteria.default_grid(n)``: 16 for n <= 4, 9 for n = 5 and
 never above 16^4 points, Eq4's refinement included.  Once n is known, and
 before any array is built, a usage error refuses a flag whose largest batch,
 at n x n floats per row, would hold more than ``MAX_BATCH_ENTRIES`` floats:
-the criteria's grid for ``--grid m``, a surface lattice of (m + 1)^(n - 1)
-rows for ``simplex --grid m``, one row per sample for ``--samples``, and for
+for ``--grid m`` and ``--samples`` the criteria's one tangent pass on a row
+per sample, the m^n grid points and the ``INVPOS_POINTS`` + 1 + n probe
+points (the error names ``--grid`` when it was given and asks for more rows
+than ``--samples``), a surface lattice of (m + 1)^(n - 1) rows for
+``simplex --grid m``, one row per sample for the n >= 4 point cloud, and for
 ``sweep1d`` the min(record, steps) x b-count orbit values it keeps (n = 1);
 the sweep's peak memory is a fixed multiple of those.  The sweep's time is
 bounded too: ``sweep1d --steps`` above ``MAX_STEPS_PER_INTEGRATION`` (2^20)
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import default_grid, run_criteria
+from .criteria import INVPOS_POINTS, default_grid, run_criteria
 from .modelio import LoadedModel, ModelFileError, load_model_file
 from .models import ModelEvaluationError, ModelParameterError
 from .periodic import (
@@ -137,11 +140,13 @@ def _check_batch(flag: str, rows: int, n: int) -> None:
 
 
 def _check_criteria_batches(args, n: int) -> None:
-    """Bound the criteria's grid of m^n points for an explicit ``--grid m`` (the
-    default grid is small for every n) and C5's Jacobian batch, one per sample."""
-    if args.grid is not None:
-        _check_batch("--grid", args.grid**n, n)
-    _check_batch("--samples", args.samples, n)
+    """Bound the criteria's largest batch, the tangent pass at C5's turn: one row
+    per sample, the grid's m^n points (m = ``--grid`` or ``default_grid(n)``)
+    and the InvPos probe.  The flag named is ``--grid`` when it was given and
+    holds more rows than ``--samples``, else ``--samples``."""
+    grid_rows = (args.grid or default_grid(n)) ** n
+    flag = "--grid" if args.grid is not None and grid_rows > args.samples else "--samples"
+    _check_batch(flag, args.samples + grid_rows + INVPOS_POINTS + 1 + n, n)
 
 
 def _write_json(payload: dict, path) -> None:

@@ -14,12 +14,12 @@ coordinates: C2, C3 and C5 mask the entries off the support, and InvPos
 takes its support patterns, and each point's pattern, from one ``np.unique``
 of that mask.
 
-``run_criteria`` calls every checker by name, but the checkers share model
-evaluations, each of which is an RK4 pass with a large fixed cost for the
-period map: C2 and C3 each step their two point sets in one call, and one
-tangent pass at C5's turn serves C5's samples, the (0, q] grid of Eq3a/Eq3b
-and Eq4, and the InvPos probe, whose rows each reader reads back.  The
-passes of a run are listed in :func:`run_criteria`.
+Each checker evaluates its own points.  Each model evaluation is an RK4
+pass with a large fixed cost for the period map, so C2 and C3 each step
+their two point sets in one call, and ``run_criteria`` hands C5, Eq3a/Eq3b,
+Eq4 and InvPos a proxy of the model that makes one tangent pass on C5's
+samples, the (0, q] grid and the InvPos probe, and answers each of them
+from its rows.  The passes of a run are listed in :func:`run_criteria`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .models import (
     ModelEvaluationError,
     ModelParameterError,
     NeuralNetModel,
-    _diag_embed,
     _reduce_columns,
     as_state,
 )
@@ -103,11 +102,10 @@ def competition_matrix(model: CompetitionModel, x) -> np.ndarray:
     """M(x) with entries -(x_i / G_i(x)) * dG_i/dx_j; broadcasts over batches.
 
     Defined only where every growth factor is positive; then
-    T'(x) = diag(G(x)) (I - M(x)).  Where x is the (0, q] grid of a
-    ``run_criteria`` call, G and G' are read back from its joint tangent pass.
+    T'(x) = diag(G(x)) (I - M(x)).
     """
     x = np.asarray(x, dtype=float)
-    g, gp = _read_back(model, "grid", x, model.growth_and_jacobian)
+    g, gp = model.growth_and_jacobian(x)
     if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
         raise ValueError("competition matrix undefined (nonpositive growth factor)")
     return -(x / g)[..., :, None] * gp
@@ -174,57 +172,6 @@ def _grid_points(q: np.ndarray, resolution: int) -> np.ndarray:
     return _mesh_points([q_i * np.arange(1, resolution + 1) / resolution for q_i in q])
 
 
-def _read_back(model: CompetitionModel, key: str, pts: np.ndarray, evaluate, keep=False):
-    """``evaluate(pts)``, or the value the instance holds under ``key`` for these very points.
-
-    A reader takes a held value once, unless ``keep``; with ``keep`` a value
-    it evaluates is held too, read-only, in place of the key's last one.
-    """
-    held = model.__dict__.setdefault("_held", {})
-    if key in held and np.array_equal(held[key][0], pts):
-        return held[key][1] if keep else held.pop(key)[1]
-    value = evaluate(pts)
-    if keep:
-        pts.setflags(write=False)
-        value.setflags(write=False)
-        held[key] = (pts, value)
-    return value
-
-
-def _hold_tangent_pass(
-    model: CompetitionModel, c5_pts: np.ndarray, grid_pts: np.ndarray, probe_pts: np.ndarray
-) -> None:
-    """One tangent pass on C5's samples, the (0, q] grid and the InvPos probe's
-    nonzero points.  The instance then holds, for :func:`_read_back` and in
-    place of all it held: G' on the samples for C5, G and G' on the grid for
-    ``competition_matrix``, and T' on the probe, formed as ``step_jacobian``
-    forms it, for InvPos.
-
-    A row of a batch of two or more gets the same bits whatever else is in
-    the batch, so each reader gets the bits it would evaluate.  If the pass
-    raises, nothing is held: each reader evaluates its own points and meets
-    its own error.  Only C5's G' is a view of the stacked arrays, which are
-    freed once C5 has taken it.
-    """
-    try:
-        g, gp = model.growth_and_jacobian(np.vstack([c5_pts, grid_pts, probe_pts]))
-    except (ModelEvaluationError, ValueError):
-        return
-    a, b = len(c5_pts), len(c5_pts) + len(grid_pts)
-    model._held = {
-        "C5": (c5_pts, gp[:a]),
-        "grid": (grid_pts, (g[a:b].copy(), gp[a:b].copy())),
-        "InvPos": (probe_pts, _diag_embed(g[b:]) + probe_pts[..., :, None] * gp[b:]),
-    }
-
-
-def _grid_competition_matrices(model: CompetitionModel, resolution: int):
-    """The (0, q] grid and M on it for Eq3a/Eq3b and Eq4's first pass, held
-    read-only on the instance per resolution, as q is: one evaluation for both."""
-    pts = _grid_points(model.verified_axial_fixed_points(), resolution)
-    return pts, _read_back(model, "M", pts, lambda x: competition_matrix(model, x), keep=True)
-
-
 def _mesh_points(axes) -> np.ndarray:
     """Every combination of the per-axis values, one point per row."""
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -241,6 +188,43 @@ def _step_stacked(model: CompetitionModel, batches: np.ndarray) -> np.ndarray:
         return model.step(batches.reshape(-1, model.n)).reshape(batches.shape)
     except ModelEvaluationError:
         return np.array([model.step(batch) for batch in batches])
+
+
+class _SharedPass:
+    """``model``, whose ``growth_and_jacobian`` of any of ``point_sets`` returns
+    that set's rows of one call on them all.
+
+    ``growth_jacobian`` and ``step_jacobian`` are the base class's, bound to
+    the proxy, so they too take the held rows; every other attribute is the
+    model's.  A row of a batch of two or more gets the same bits whatever
+    else is in the batch, so each reader gets the bits it would evaluate.
+    A set's rows are returned as they are held, not copied: each set has one
+    reader, which may write to them (C5 masks its Jacobians in place).  If
+    the joint call raises, nothing is held: each reader evaluates its own
+    points and meets its own error.
+    """
+
+    growth_jacobian = CompetitionModel.growth_jacobian
+    step_jacobian = CompetitionModel.step_jacobian
+
+    def __init__(self, model: CompetitionModel, point_sets):
+        self.model = model
+        self.held = []  # (points, G, G') per set, views of the joint call's arrays
+        try:
+            g, gp = model.growth_and_jacobian(np.vstack(point_sets))
+        except (ModelEvaluationError, ValueError):
+            return
+        splits = np.cumsum([len(pts) for pts in point_sets[:-1]])
+        self.held = list(zip(point_sets, np.split(g, splits), np.split(gp, splits)))
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def growth_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        for pts, g, gp in self.held:
+            if np.array_equal(x, pts):
+                return g, gp
+        return self.model.growth_and_jacobian(x)
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +486,26 @@ def check_axial(model: CompetitionModel) -> ConditionResult:
 def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> ConditionResult:
     """Strictly negative growth Jacobian on the support of every sampled point.
 
-    The Jacobian is evaluated once on the whole sample, or read back from
-    ``run_criteria``'s shared tangent pass, and the largest entry of each
-    support block is one maximum over the stack with the entries off the
-    support masked to -inf; the witness (i, j) is read off the worst point's
-    masked matrix.  Points with an empty support are vacuous.
+    The Jacobian is evaluated once on the whole sample, and the largest
+    entry of each support block is one maximum over the stack with the
+    entries off the support masked to -inf in place; the witness (i, j) is
+    read off the worst point's masked matrix.  Points with an empty support
+    are vacuous.
     """
     rng = np.random.default_rng(seed)
     pts = _region_samples(model, samples, rng, include_origin=True)
-    jac = _read_back(model, "C5", pts, model.growth_jacobian)
+    jac = model.growth_jacobian(pts)
 
     on = pts != 0.0
-    masked = np.where(on[:, :, None] & on[:, None, :], jac, -np.inf)
-    entries = masked.max(axis=(1, 2))
+    jac[~(on[:, :, None] & on[:, None, :])] = -np.inf
+    entries = jac.max(axis=(1, 2))
     # the first largest entry is the worst; a NaN entry never is.  Every axis
     # segment is sampled away from 0, so some row has a support block
     k = int(np.argmax(np.where(np.isnan(entries), -np.inf, entries)))
     worst = float(entries[k])
     # support indices ascend, so row k's first largest masked entry in
     # row-major order is its support block's first largest
-    i, j = np.unravel_index(int(np.argmax(masked[k])), masked[k].shape)
+    i, j = np.unravel_index(int(np.argmax(jac[k])), jac[k].shape)
     worst_witness = {"x": pts[k], "i": int(i) + 1, "j": int(j) + 1, "value": worst}
     near_ties = int(np.count_nonzero((-STRICT_TIE_MARGIN < entries) & (entries < 0.0)))
     note = f"near-ties (> -{STRICT_TIE_MARGIN:g}): {near_ties}" if near_ties else ""
@@ -540,17 +524,17 @@ def check_c5(model: CompetitionModel, samples: int = 10_000, seed: int = 42) -> 
 def check_inverse_positivity(model: CompetitionModel, points) -> ConditionResult:
     """[T'(x)] restricted to the support of x has an entrywise-positive inverse.
 
-    T' is evaluated once on all points with a nonempty support, or read back
-    from ``run_criteria``'s shared tangent pass.  The support patterns, and
-    each point's pattern, come from one ``np.unique`` of the nonzero mask,
-    and the principal submatrices are inverted one stack per pattern.  A
-    submatrix with zero determinant counts as singular.  The result is that
-    of a scan in input order: it stops at the first failing point, and
-    ``samples`` counts the points with a nonempty support up to it.
+    T' is evaluated once on all points with a nonempty support.  The support
+    patterns, and each point's pattern, come from one ``np.unique`` of the
+    nonzero mask, and the principal submatrices are inverted one stack per
+    pattern.  A submatrix with zero determinant counts as singular.  The
+    result is that of a scan in input order: it stops at the first failing
+    point, and ``samples`` counts the points with a nonempty support up to
+    it.
     """
     pts = np.array([as_state(x, model.n) for x in points], dtype=float).reshape(-1, model.n)
     pts = pts[np.any(pts != 0.0, axis=1)]
-    jac = _read_back(model, "InvPos", pts, model.step_jacobian)
+    jac = model.step_jacobian(pts)
 
     entries = np.full(pts.shape[0], np.nan)
     singular = np.zeros(pts.shape[0], dtype=bool)
@@ -602,13 +586,12 @@ def check_spectral_grid(model: CompetitionModel, grid_resolution: int) -> Condit
     as sampled.  k is the largest odd number up to ``EQ4_REFINE_POINTS`` and
     ``default_grid(n)``, so that the argmax is a refined point: 9 for n <= 5
     (4x density), 5 for n = 6 and 3 for n = 7-10; from n = 11 it is 1 and
-    there is no refinement.  M is evaluated in one batch per grid, on the
-    regular grid once per model and resolution, shared with Eq3a/Eq3b; the
+    there is no refinement.  M is evaluated in one batch per grid; the
     spectral radius is taken matrix by matrix.
     """
     q = model.verified_axial_fixed_points()
-    pts, M = _grid_competition_matrices(model, grid_resolution)
-    rhos = np.array([spectral_radius(M_x) for M_x in M])
+    pts = _grid_points(q, grid_resolution)
+    rhos = np.array([spectral_radius(M) for M in competition_matrix(model, pts)])
     worst_idx = int(np.argmax(rhos))
     worst = float(rhos[worst_idx])
     witness = pts[worst_idx]
@@ -637,8 +620,9 @@ def check_gershgorin_grid(
     model: CompetitionModel, grid_resolution: int
 ) -> tuple[ConditionResult, ConditionResult]:
     """Column-sum (Eq3a) and row-sum (Eq3b) bounds of M(x) over the (0, q] grid,
-    M evaluated once per model and resolution, shared with Eq4's first pass."""
-    pts, M = _grid_competition_matrices(model, grid_resolution)
+    M evaluated in one batch."""
+    pts = _grid_points(model.verified_axial_fixed_points(), grid_resolution)
+    M = competition_matrix(model, pts)
     col_sums = M.sum(axis=1)  # (N, n): column j sums per point
     row_sums = M.sum(axis=2)
 
@@ -747,8 +731,9 @@ def run_criteria(
     - C0: G(0); C1: one per step of the orbit of 2q;
     - C2: one step of x and lambda x, stacked; C3: one step of xs and ys;
     - C5's turn: one tangent pass on C5's samples, the grid and the InvPos
-      probe.  C5 reads G' back, Eq3a/Eq3b build M on the grid from G and G'
-      and share it with Eq4, and InvPos reads T' back;
+      probe, held by a proxy of the model that C5, Eq3a/Eq3b, Eq4 and InvPos
+      are handed: C5 takes G' from it, Eq3a/Eq3b and Eq4 each form M on the
+      grid from its G and G', and InvPos forms T' from them;
     - Eq4's refinement, around the grid's argmax, one tangent pass.
 
     On the bundled periodic model that is 10 passes, 14 if each checker
@@ -757,7 +742,7 @@ def run_criteria(
     bits whatever else is in the batch; where a checker alone evaluates one
     row (``samples`` or ``grid_resolution`` 1) its float may differ.  If a
     shared evaluation raises, each checker evaluates on its own and meets
-    its own error.
+    its own error.  C0-C4 and the family criterion take the model itself.
 
     A checker that needs q (C1-C3, C5, Eq3a/Eq3b, Eq4, InvPos) is
     inconclusive when q cannot be verified, and so is any checker whose model
@@ -786,27 +771,26 @@ def run_criteria(
                 why = str(exc)
         return [ConditionResult(i, "inconclusive", note=why) for i in ids]
 
-    if q is not None:
-        rng = np.random.default_rng(seed)
-        probe = np.vstack([rng.random((INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
-
-    def c5():
-        _hold_tangent_pass(
-            model,
-            _region_samples(model, samples, np.random.default_rng(seed), include_origin=True),
-            _grid_points(q, grid_resolution),
-            probe[np.any(probe != 0.0, axis=1)],
-        )
-        return [check_c5(model, samples, seed)]
-
     conditions += guarded(["C1"], lambda: [check_attractor_bound(model)])
     conditions += guarded(["C2"], lambda: [check_sublinearity(model, samples, seed)])
     conditions += guarded(["C3"], lambda: [check_retrotone(model, samples, seed)])
     conditions.append(check_axial(model))
-    conditions += guarded(["C5"], c5)
-    conditions += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(model, grid_resolution))
-    conditions += guarded(["Eq4"], lambda: [check_spectral_grid(model, grid_resolution)])
-    conditions += guarded(["InvPos"], lambda: [check_inverse_positivity(model, probe)])
+    shared = model  # C5, Eq3a/Eq3b, Eq4 and InvPos: one tangent pass on their points
+    if q is not None:
+        rng = np.random.default_rng(seed)
+        probe = np.vstack([rng.random((INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
+        shared = _SharedPass(
+            model,
+            [
+                _region_samples(model, samples, np.random.default_rng(seed), include_origin=True),
+                _grid_points(q, grid_resolution),
+                probe[np.any(probe != 0.0, axis=1)],
+            ],
+        )
+    conditions += guarded(["C5"], lambda: [check_c5(shared, samples, seed)])
+    conditions += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(shared, grid_resolution))
+    conditions += guarded(["Eq4"], lambda: [check_spectral_grid(shared, grid_resolution)])
+    conditions += guarded(["InvPos"], lambda: [check_inverse_positivity(shared, probe)])
     if q is not None:
         conditions[-1].seed = seed  # the probe's seed, also on an inconclusive record
     conditions.append(family_criterion(model))

@@ -158,6 +158,7 @@ def overshoot_without_map(tmp_path, no_map_model):
         ["simplex", "--force", "--grid", "2730"],  # 2731^2 lattice rows
         ["simplex", "--force", "--grid", "100000"],
         ["simplex", "--grid", "196"],  # the criteria pre-check's grid
+        ["check", "--samples", "7452341"],  # with the 16^3 grid and the 104-point probe
     ],
 )
 def test_oversized_grid_or_samples_is_a_usage_error_before_any_array(
@@ -177,13 +178,41 @@ def test_oversized_grid_or_samples_is_a_usage_error_before_any_array(
     "argv",
     [
         ["check", "--grid", "195"],  # 195^3 = 7,414,875 grid points
-        ["check", "--samples", "7456540"],
+        ["check", "--samples", "7452340"],  # 7,456,540 - 16^3 grid points - 104 probe points
         ["simplex", "--force", "--grid", "2729"],  # 2730^2 lattice rows
     ],
 )
 def test_grid_and_samples_at_the_batch_bound_are_accepted(argv, overshoot_without_map):
     with pytest.raises(AssertionError, match="a map model was built"):
         main([argv[0], "--model", str(overshoot_without_map), *argv[1:]])
+
+
+@pytest.mark.parametrize(
+    "grid, samples, refused",
+    [
+        ("195", "41561", None),  # 7,414,875 + 41,561 + 104 = 7,456,540 rows
+        ("195", "41562", "--grid"),
+        ("150", "4081436", None),  # 3,375,000 + 4,081,436 + 104
+        ("150", "4081437", "--samples"),
+        ("195", "7456540", "--samples"),  # each flag alone within the bound
+    ],
+)
+def test_grid_and_samples_share_one_batch_bound(
+    grid, samples, refused, overshoot_without_map, tmp_path, capsys
+):
+    """C5's samples, the grid and the InvPos probe ride in one tangent pass, so
+    their rows together are bounded; the error names the flag asking for more."""
+    argv = ["check", "--model", str(overshoot_without_map), "--grid", grid, "--samples", samples]
+    if refused is None:
+        with pytest.raises(AssertionError, match="a map model was built"):
+            main(argv)
+        return
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 64
+    rows = int(grid) ** 3 + int(samples) + 104
+    assert capsys.readouterr().err == (
+        f"error: {refused}: asks for a batch of {rows} points; at most 7456540 for 3 species\n"
+    )
+    assert list(tmp_path.iterdir()) == [overshoot_without_map]
 
 
 def may_oster_file(directory: Path, n: int) -> Path:
@@ -202,7 +231,7 @@ def test_six_species_take_the_default_grid_and_an_explicit_one_is_bounded(
     argv = ["check", "--model", str(path), "--grid", "12", "--out", str(tmp_path / "out")]
     assert main(argv) == 64
     assert capsys.readouterr().err == (
-        "error: --grid: asks for a batch of 2985984 points; at most 1864135 for 6 species\n"
+        "error: --grid: asks for a batch of 2996091 points; at most 1864135 for 6 species\n"
     )
     assert list(tmp_path.iterdir()) == [path]
     with pytest.raises(AssertionError, match="a map model was built"):
@@ -220,7 +249,7 @@ def test_eq4_refinement_stays_within_the_bound_at_seven_species(tmp_path, capsys
         argv = [command, "--model", str(path), "--grid", "8", "--out", str(tmp_path / "out")]
         assert main(argv) == 64
         assert capsys.readouterr().err == (
-            "error: --grid: asks for a batch of 2097152 points; at most 1369568 for 7 species\n"
+            "error: --grid: asks for a batch of 2107260 points; at most 1369568 for 7 species\n"
         )
     assert list(tmp_path.iterdir()) == [path]
 

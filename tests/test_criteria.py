@@ -531,6 +531,29 @@ def test_run_criteria_records_equal_the_checkers_called_alone(name, seed):
     assert records == checkers_alone(fresh_model(name), grid, 10_000, seed)
 
 
+@pytest.mark.parametrize("name", ["may2", "periodic_lv2"])
+def test_run_criteria_leaves_nothing_held_on_the_model(name):
+    """The shared tangent pass lives only inside ``run_criteria``: the model
+    keeps its verified q and nothing else, and a checker called on it later
+    evaluates its own points."""
+    model = fresh_model(name)
+    before = set(vars(model))
+    run_criteria(model, grid_resolution=4, samples=300, seed=3)
+    assert set(vars(model)) == before | {"_verified_q"}
+
+    sizes = []
+    joint = model.growth_and_jacobian
+    model.growth_and_jacobian = lambda x: sizes.append(len(x)) or joint(x)
+    q = model.verified_axial_fixed_points()
+    rng = np.random.default_rng(3)
+    probe = np.vstack([rng.random((criteria.INVPOS_POINTS, 2)) * q, q, np.diag(q)])
+    check_c5(model, 300, 3)
+    check_gershgorin_grid(model, 4)
+    check_spectral_grid(model, 4)
+    check_inverse_positivity(model, probe)
+    assert sizes == [300, 16, 16, 81, 103]  # Eq4's second call is its refinement
+
+
 def test_a_periodic_check_makes_ten_period_map_passes(tmp_path, monkeypatch):
     """At the benchmark's arguments: the axis Newton solve's two tangent
     passes, q's verification, C0, two C1 steps, C2, C3, the tangent pass at
