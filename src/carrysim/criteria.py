@@ -16,10 +16,11 @@ of that mask.
 
 Each checker evaluates its own points.  Each model evaluation is an RK4
 pass with a large fixed cost for the period map, so C2 and C3 each step
-their two point sets in one call, and ``run_criteria`` hands C5, Eq3a/Eq3b,
-Eq4 and InvPos a proxy of the model that makes one tangent pass on C5's
-samples, the (0, q] grid and the InvPos probe, and answers each of them
-from its rows.  The passes of a run are listed in :func:`run_criteria`.
+their two point sets in one ``model.step`` call, and ``run_criteria`` hands
+C5, Eq3a/Eq3b, Eq4 and InvPos a proxy of the model that makes one tangent
+pass on C5's samples, the (0, q] grid and the InvPos probe, and answers
+each of them from its rows.  The passes of a run are listed in
+:func:`run_criteria`.
 """
 
 from __future__ import annotations
@@ -177,19 +178,6 @@ def _mesh_points(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _step_stacked(model: CompetitionModel, batches: np.ndarray) -> np.ndarray:
-    """``model.step`` of each (N, n) batch of ``batches``, by one call on them all.
-
-    A row of a batch of two or more gets the same bits whatever else is in
-    the batch.  If the joint call raises ``ModelEvaluationError``, each batch
-    takes a call of its own, which raises what it raises.
-    """
-    try:
-        return model.step(batches.reshape(-1, model.n)).reshape(batches.shape)
-    except ModelEvaluationError:
-        return np.array([model.step(batch) for batch in batches])
-
-
 class _SharedPass:
     """``model``, whose ``growth_and_jacobian`` of any of ``point_sets`` returns
     that set's rows of one call on them all.
@@ -198,10 +186,11 @@ class _SharedPass:
     the proxy, so they too take the held rows; every other attribute is the
     model's.  A row of a batch of two or more gets the same bits whatever
     else is in the batch, so each reader gets the bits it would evaluate.
-    A set's rows are returned as they are held, not copied: each set has one
-    reader, which may write to them (C5 masks its Jacobians in place).  If
-    the joint call raises, nothing is held: each reader evaluates its own
-    points and meets its own error.
+    A set's rows are returned as they are held, not copied: only C5 writes
+    to its rows (it masks its Jacobians in place), and it alone reads them;
+    Eq3a/Eq3b and Eq4 both read the grid's.  If the joint call raises,
+    nothing is held: each reader evaluates its own points and meets its own
+    error.
     """
 
     growth_jacobian = CompetitionModel.growth_jacobian
@@ -311,8 +300,8 @@ def check_sublinearity(
     pts = pts[keep]
     lam = np.clip(rng.random(pts.shape[0]) * (1.0 - 1e-6), 1e-9, None)
 
-    images = _step_stacked(model, np.stack([pts, lam[:, None] * pts]))
-    diff = images[1] - lam[:, None] * images[0]
+    tx, tlx = np.split(model.step(np.vstack([pts, lam[:, None] * pts])), [len(pts)])
+    diff = tlx - lam[:, None] * tx
     on_support = pts > 0.0
     margins = _reduce_columns(np.minimum, np.where(on_support, diff, np.inf))
 
@@ -355,7 +344,7 @@ def check_retrotone(
         pairs[:, ~masks] = 0.0
 
     xs, ys = pairs
-    tx, ty = _step_stacked(model, pairs)
+    tx, ty = model.step(pairs.reshape(-1, n)).reshape(pairs.shape)
     accepted = _reduce_columns(np.logical_and, tx >= ty) & _reduce_columns(np.logical_or, tx > ty)
     xs, ys = xs[accepted], ys[accepted]
     n_acc = int(xs.shape[0])
@@ -729,7 +718,8 @@ def run_criteria(
     - q: the axis Newton solve's tangent passes and q's verification, made
       once and shared by every checker that needs q;
     - C0: G(0); C1: one per step of the orbit of 2q;
-    - C2: one step of x and lambda x, stacked; C3: one step of xs and ys;
+    - C2: one step of x and lambda x, stacked; C3: one of xs and ys; if
+      that one call raises, its error is the checker's inconclusive note;
     - C5's turn: one tangent pass on C5's samples, the grid and the InvPos
       probe, held by a proxy of the model that C5, Eq3a/Eq3b, Eq4 and InvPos
       are handed: C5 takes G' from it, Eq3a/Eq3b and Eq4 each form M on the
@@ -740,9 +730,9 @@ def run_criteria(
     evaluated on its own.  The records are those of the checkers called one
     by one, bit for bit, as a row of a batch of two or more gets the same
     bits whatever else is in the batch; where a checker alone evaluates one
-    row (``samples`` or ``grid_resolution`` 1) its float may differ.  If a
-    shared evaluation raises, each checker evaluates on its own and meets
-    its own error.  C0-C4 and the family criterion take the model itself.
+    row (``samples`` or ``grid_resolution`` 1) its float may differ.  If the
+    tangent pass raises, each checker evaluates on its own and meets its
+    own error.  C0-C4 and the family criterion take the model itself.
 
     A checker that needs q (C1-C3, C5, Eq3a/Eq3b, Eq4, InvPos) is
     inconclusive when q cannot be verified, and so is any checker whose model

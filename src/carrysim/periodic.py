@@ -512,14 +512,18 @@ def _sampled_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
     b, a = system.coefficients_at(t)
     diag = np.diagonal(a, axis1=1, axis2=2)  # (T, n)
 
+    def first_smallest(values: np.ndarray) -> dict:
+        """The time and the 1-based indices of the first smallest value."""
+        k, *idx = np.unravel_index(int(np.argmin(values)), values.shape)
+        return {"t": float(t[k]), **{name: int(v) + 1 for name, v in zip("ij", idx)}}
+
     def sign_check(cond_id: str, values: np.ndarray, strict: bool, note: str):
-        """Every sampled value >= 0 (> 0 if ``strict``); a fail names the time
-        and the 1-based indices of the first smallest value."""
+        """Every sampled value >= 0 (> 0 if ``strict``); a fail names the first
+        smallest value."""
         worst = float(values.min())
         if worst > 0.0 or (worst == 0.0 and not strict):
             return ConditionResult(cond_id, "pass_sampled", worst=worst, samples=A_TIME_SAMPLES)
-        k, *idx = np.unravel_index(int(np.argmin(values)), values.shape)
-        witness = {"t": float(t[k]), **{name: int(v) + 1 for name, v in zip("ij", idx)}}
+        witness = first_smallest(values)
         return ConditionResult(
             cond_id, "fail", worst=worst, witness=witness, samples=A_TIME_SAMPLES, note=note
         )
@@ -540,6 +544,7 @@ def _sampled_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
             "A3",
             "fail",
             worst=min_diag,
+            witness=first_smallest(diag),
             samples=A_TIME_SAMPLES,
             note="no finite threshold: self-competition is not positive",
         )
@@ -596,9 +601,7 @@ def wang_jiang_check(
     U, V = traj_u.states, traj_v.states
     h = float(traj_u.times[1] - traj_u.times[0])
 
-    ordered = np.all(U < V, axis=1)
-    if not ordered[0]:
-        raise ValueError("initial states are not strictly ordered")
+    ordered = np.all(U < V, axis=1)  # ordered[0]: U[0] is u0 and V[0] v0, exactly
     breaks = np.flatnonzero(~ordered)
     window_end = int(breaks[0]) if breaks.size else U.shape[0]
     ordered_throughout = breaks.size == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from carrysim.cli import MAX_BATCH_ENTRIES, MAX_SWEEP_EVALUATIONS, main
-from carrysim.modelio import LoadedModel
+from carrysim.modelio import LoadedModel, load_model_file
 from carrysim.models import MayOsterModel, ModelEvaluationError
 from carrysim.periodic import MAX_STEPS_PER_INTEGRATION, PoincareMapModel
 
@@ -84,6 +84,7 @@ def test_check_exit_codes_on_bundled_models(name, extra, code, tmp_path, capsys)
         ["simulate", "--model", model("may2"), "--x0", "0.1,0.2", "--seed", "1"],
         ["sweep1d", "--b-min", "1", "--b-max", "2", "--grid", "8"],
         ["wangjiang", "--model", model("periodic_lv2"), "--samples", "10"],
+        ["wangjiang", "--model", model("may2")],  # a closed form has no ODE to integrate
     ],
 )
 def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
@@ -92,6 +93,20 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_on_a_closed_form_writes_the_orbit_of_the_map(tmp_path, capsys):
+    out = tmp_path / "orbit.csv"
+    argv = ["simulate", "--model", model("may2"), "--x0", "0.1,0.2", "--steps", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"trajectory written to {out}\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,x_1,x_2" and len(lines) == 1 + 4
+    assert lines[2] == "1,0.14333294145603401,0.23706097026407311"
+    may2, x = load_model_file(model("may2")).model, np.array([0.1, 0.2])
+    for k, line in enumerate(lines[1:]):
+        assert line == ",".join([str(k), *(format(v, ".17g") for v in x)])
+        x = may2.step(x)
 
 
 def test_oversized_ode_steps_is_a_usage_error_before_any_table(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from carrysim.criteria import (
 )
 from carrysim.modelio import load_model_file
 from carrysim.models import (
+    CompetitionModel,
     LeslieGowerModel,
     MayOsterModel,
     ModelEvaluationError,
@@ -33,6 +34,27 @@ from carrysim.models import (
 from carrysim.periodic import IntegrationConfig, check_a_conditions
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+class Squaring(CompetitionModel):
+    """G(x) = x / q, so T(x) = x^2 / q: each q_i e_i is fixed, and the orbit
+    of 2q escapes."""
+
+    n = 2
+    q = np.array([0.5, 0.8])
+
+    def growth(self, x):
+        return np.asarray(x, dtype=float) / self.q
+
+    def axial_fixed_points(self):
+        return self.q
+
+
+class Identity(Squaring):
+    """G = 1: every point is fixed, so the orbit of 2q stays at 2q."""
+
+    def growth(self, x):
+        return np.ones(np.shape(x))
 
 
 def eig_radius(M):
@@ -236,6 +258,22 @@ class TestSpectralGrid:
             assert np.all(refined == peak, axis=1).any()
             assert result.samples == m**n + k**n
 
+    def test_eq4_refinement_can_raise_the_worst(self):
+        model = NeuralNetModel([2.8, 2.5], [[1.0, 1.0], [0.05, 1.0]], gamma=1.0)
+        res = check_spectral_grid(model, grid_resolution=8)
+        q = model.verified_axial_fixed_points()
+        grid = criteria._grid_points(q, 8)
+        rhos = [spectral_radius(M) for M in competition_matrix(model, grid)]
+        assert max(rhos) == pytest.approx(1.26847, abs=1e-5)
+        assert (res.verdict, res.samples) == ("fail", 64 + 81)
+        assert res.worst == pytest.approx(1.39498, abs=1e-5)
+        # the witness is a refined point off the grid, within a step of its argmax
+        assert not np.all(grid == res.witness, axis=1).any()
+        assert np.all(np.abs(res.witness - grid[int(np.argmax(rhos))]) <= q / 8)
+        assert spectral_radius(competition_matrix(model, res.witness)) == pytest.approx(
+            res.worst, rel=1e-12
+        )
+
     def test_gershgorin_grid(self, may2):
         eq3a, eq3b = check_gershgorin_grid(may2, grid_resolution=16)
         assert eq3a.id == "Eq3a" and eq3b.id == "Eq3b"
@@ -259,6 +297,22 @@ class TestConditionCheckers:
     def test_attractor_bound(self, may2):
         res = check_attractor_bound(may2)
         assert res.verdict == "pass_sampled"
+
+    @pytest.mark.parametrize(
+        "model, step, x, worst",
+        [
+            pytest.param(Squaring(), 2, [8.0, 12.8], 12.8, id="escapes"),
+            pytest.param(Identity(), criteria.ATTRACTOR_STEPS, [1.0, 1.6], 2.0, id="never-enters"),
+        ],
+    )
+    def test_attractor_bound_fails_with_a_witness_that_reproduces_it(self, model, step, x, worst):
+        res = check_attractor_bound(model)
+        assert (res.verdict, res.samples, res.worst) == ("fail", step, worst)
+        assert res.witness["step"] == step and np.array_equal(res.witness["x"], x)
+        orbit = 2.0 * model.verified_axial_fixed_points()
+        for _ in range(res.witness["step"]):
+            orbit = model.step(orbit)
+        assert np.array_equal(orbit, res.witness["x"])
 
     def test_sublinearity_passes(self, may2):
         res = check_sublinearity(may2, samples=3000, seed=42)
@@ -488,7 +542,7 @@ def test_eq3_and_eq4_share_one_evaluation_of_the_grid(monkeypatch):
 def checkers_alone(model, grid_resolution, samples, seed):
     """The records of ``run_criteria``, from each public checker called alone
     and guarded as ``run_criteria`` guards it, with every model evaluation of
-    its own: C2 and C3 also step their two point sets in a call each."""
+    its own."""
     q = model.verified_axial_fixed_points()
     rng = np.random.default_rng(seed)
     probe = np.vstack([rng.random((criteria.INVPOS_POINTS, model.n)) * q, q, np.diag(q)])
@@ -499,14 +553,10 @@ def checkers_alone(model, grid_resolution, samples, seed):
         except (ModelEvaluationError, ValueError) as exc:
             return [ConditionResult(i, "inconclusive", note=str(exc)) for i in ids]
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            criteria, "_step_stacked", lambda model, batches: [model.step(b) for b in batches]
-        )
-        records = [check_c0(model)]
-        records += guarded(["C1"], lambda: [check_attractor_bound(model)])
-        records += guarded(["C2"], lambda: [check_sublinearity(model, samples, seed)])
-        records += guarded(["C3"], lambda: [check_retrotone(model, samples, seed)])
+    records = [check_c0(model)]
+    records += guarded(["C1"], lambda: [check_attractor_bound(model)])
+    records += guarded(["C2"], lambda: [check_sublinearity(model, samples, seed)])
+    records += guarded(["C3"], lambda: [check_retrotone(model, samples, seed)])
     records.append(check_axial(model))
     records += guarded(["C5"], lambda: [check_c5(model, samples, seed)])
     records += guarded(["Eq3a", "Eq3b"], lambda: check_gershgorin_grid(model, grid_resolution))
@@ -644,3 +694,12 @@ def test_an_error_at_one_checkers_rows_stays_with_that_checker(where, faulted):
     records = [r.to_record() for r in run_criteria(faulty_may2(where), samples=2000, seed=7)]
     assert records == checkers_alone(faulty_may2(where), 16, 2000, 7)
     assert {r["id"] for r in records if r["verdict"] == "inconclusive"} == faulted
+
+
+@pytest.mark.parametrize("where", ["C2", "C3"])
+def test_an_error_in_c2_or_c3s_one_step_names_both_point_sets(where):
+    """x and lambda x, or xs and ys, are stepped in one call, so the note is
+    that call's error and the batch it names holds both sets' rows."""
+    conditions = by_id(run_criteria(faulty_may2(where), samples=2000, seed=7))
+    assert conditions[where].verdict == "inconclusive"
+    assert conditions[where].note == "T is not finite in a batch of 4000"

@@ -374,6 +374,24 @@ class TestAConditions:
             rates = b[:, i] - a[:, i, :] @ x
             assert np.all(rates < 0)
 
+    def test_a3_fail_names_the_sampled_self_competition_that_a2_names(self):
+        # A_22 = 0.3 + 0.5 cos(2 pi t) bottoms out at -0.2 at t = 1/2
+        system = PeriodicLVSystem(
+            [FourierSeries(1.0), FourierSeries(1.0)],
+            [
+                [FourierSeries(1.0), FourierSeries(0.1)],
+                [FourierSeries(0.2), FourierSeries(0.3, cos=(0.5,))],
+            ],
+        )
+        _, a2, a3, _ = check_a_conditions(system)
+        assert (a2.verdict, a3.verdict) == ("fail", "fail")
+        assert a3.witness == a2.witness == {"t": 0.5, "i": 2}
+        assert a3.worst == a2.worst == pytest.approx(-0.2, abs=1e-12)
+        # the witness reproduces the fail: A_ii(t) is not positive there
+        _, a = system.coefficients_at(a3.witness["t"])
+        i = a3.witness["i"] - 1
+        assert a[i, i] == a3.worst <= 0.0
+
 
 class TestWangJiang:
     def test_ordered_pair_passes(self, vlper2):
