@@ -148,7 +148,7 @@ def _vector(data: dict, key: str, n: int) -> list[float]:
 def _matrix(data: dict, key: str, n: int) -> list[list[float]]:
     rows = _field(data, key)
     if not isinstance(rows, list) or len(rows) != n:
-        raise ModelFileError(f"field {key!r} must be an {n}x{n} matrix")
+        raise ModelFileError(f"field {key!r} must be a list of n rows of n numbers, n = {n}")
     return [_numbers(row, f"field {key!r}[{i + 1}]", n) for i, row in enumerate(rows)]
 
 
@@ -169,7 +169,9 @@ def _parse_fourier(data: dict, n: int) -> PeriodicLVSystem:
     B = [_parse_series(entry, f"fourier.B[{i + 1}]") for i, entry in enumerate(b_block)]
     a_block = block["A"]
     if not isinstance(a_block, list) or len(a_block) != n:
-        raise ModelFileError(f"'fourier.A' must be an {n}x{n} grid of coefficient entries")
+        raise ModelFileError(
+            f"'fourier.A' must be a list of n rows of n coefficient entries, n = {n}"
+        )
     A = []
     for i, row in enumerate(a_block):
         if not isinstance(row, list) or len(row) != n:

@@ -13,9 +13,14 @@ is one product A(t) @ u of the tabulated matrix with all N states, written
 with the rest of the stage into buffers allocated once per call.  The same
 loop can carry the tangent dl/dx0 of the discrete map, which gives the exact
 growth Jacobian of the Poincare map and the Newton slope for its axial fixed
-points; its stages reuse the exp(l) of the l stages.  On an axis the system
-is a logistic equation with a closed-form period map, whose fixed point
-``PoincareMapModel.exact_axial_fixed_points`` gives by quadrature.
+points; its stages reuse the exp(l) of the l stages.  Each elementwise stage
+operation takes operands of one shape, which costs less than a broadcast on
+narrow batches: B(t) is copied over the batch once per step, and the tangent
+tiles x0 and the identity over it once per call; the ufuncs are bound to
+locals and take their outputs positionally.  A pass peaks at a fixed multiple
+of its batch, 9 n N floats, or 8 n^2 N + 12 n N with the tangent.  On an axis
+the system is a logistic equation with a closed-form period map, whose fixed
+point ``PoincareMapModel.exact_axial_fixed_points`` gives by quadrature.
 """
 
 from __future__ import annotations
@@ -198,22 +203,38 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangen
     buffer, with 2 k taken as k + k.  Every float is that of the plain
     expression ``l + h/6 (k1 + 2 k2 + 2 k3 + k4)``.
 
+    Each elementwise call takes operands of one shape, which is cheaper than
+    a broadcast on the narrow batches most calls carry: B(t) at a step's
+    three stage times is copied over the N columns, into one (3, n, N)
+    buffer, by one slice assignment per step.  The ufuncs are bound to locals and
+    take their output positionally, the cheapest way to call them.
+
     With ``tangent`` it also carries D = dl/dx0 of the discrete map, column j
     with the stage tangent -A (u * D_j + e_j exp(l)), all n columns as one
     (n, n, N) stack through A(t), and returns (l, D) with D[..., i, j] =
-    dl_i/dx0_j.  The tangent stages read exp(l_s) from the l stages, which
-    keep the four in buffers of their own only then; l goes through the same
-    operations with or without the tangent."""
+    dl_i/dx0_j.  x0 and the identity are tiled to (n, n, N) once per call, so
+    that only the product with exp(l_s) broadcasts.  The tangent stages read
+    exp(l_s) from the l stages, which keep the four in buffers of their own
+    only then; l goes through the same operations with or without the tangent.
+
+    Memory is a fixed multiple of the batch: a ``growth`` call peaks at 9 n N
+    floats, and a ``growth_and_jacobian`` call at 8 n^2 N + 12 n N, counting
+    what each returns; without ``record`` none of it grows with the steps."""
     t0, h, b, a = table
+    add, subtract, multiply, exp, matmul = np.add, np.subtract, np.multiply, np.exp, np.matmul
     # 0-d arrays: a ufunc takes them with less overhead than Python floats
     half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
     x0_cols = np.atleast_2d(x0).T.copy()
     n, N = x0_cols.shape
     ell = np.zeros_like(x0_cols)
     k_sum, k, w = np.empty((3, n, N))
+    b_t = np.empty((3, n, N))
+    b1, b2, b4 = b_t
     e1, e2, e3, e4 = np.empty((4, n, N)) if tangent else (w,) * 4
     if tangent:
-        d_ell, eye = np.zeros((n, n, N)), np.eye(n)[:, :, None]
+        d_ell = np.zeros((n, n, N))
+        x0_tile = np.broadcast_to(x0_cols, (n, n, N)).copy()
+        eye = np.broadcast_to(np.eye(n)[:, :, None], (n, n, N)).copy()
         p1, p23, p, du = np.empty((4, n, n, N))
     path = np.zeros((b.shape[1] + 1,) + ell.shape) if record else None
 
@@ -221,63 +242,64 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangen
         """out = A(t) @ (exp(l_s) (x0 D_s + e_j)) for every column j, where
         D_s = D - c p_prev, or D itself without ``p_prev``."""
         if p_prev is None:
-            np.multiply(x0_cols, d_ell, out=du)
+            multiply(x0_tile, d_ell, du)
         else:
-            np.multiply(p_prev, c, out=du)
-            np.subtract(d_ell, du, out=du)
-            np.multiply(x0_cols, du, out=du)
-        np.add(du, eye, out=du)
-        np.multiply(du, e_t, out=du)
-        np.matmul(a_t, du, out=out)
+            multiply(p_prev, c, du)
+            subtract(d_ell, du, du)
+            multiply(x0_tile, du, du)
+        add(du, eye, du)
+        multiply(du, e_t, du)
+        matmul(a_t, du, out)
 
     # ndarray.dot is the cheapest call of the (n, n) @ (n, N) product, with
     # the bits of @; the tangent's stacked (n, n) @ (n, n, N) takes matmul
-    for step, (b1, b2, b4, a1, a2, a4) in enumerate(zip(*b, *a)):
+    for step, (b_s, a1, a2, a4) in enumerate(zip(b.swapaxes(0, 1), *a)):
+        b_t[...] = b_s
         # k1, into the sum
-        np.exp(ell, out=e1)
-        np.multiply(x0_cols, e1, out=w)
-        a1.dot(w, out=k_sum)
-        np.subtract(b1, k_sum, out=k_sum)
+        exp(ell, e1)
+        multiply(x0_cols, e1, w)
+        a1.dot(w, k_sum)
+        subtract(b1, k_sum, k_sum)
         # k2
-        np.multiply(k_sum, half, out=w)
-        np.add(ell, w, out=w)
-        np.exp(w, out=e2)
-        np.multiply(x0_cols, e2, out=w)
-        a2.dot(w, out=k)
-        np.subtract(b2, k, out=k)
+        multiply(k_sum, half, w)
+        add(ell, w, w)
+        exp(w, e2)
+        multiply(x0_cols, e2, w)
+        a2.dot(w, k)
+        subtract(b2, k, k)
         # k3, once 2 k2 is in the sum
-        np.multiply(k, half, out=w)
-        np.add(ell, w, out=w)
-        np.add(k, k, out=k)
-        np.add(k_sum, k, out=k_sum)
-        np.exp(w, out=e3)
-        np.multiply(x0_cols, e3, out=w)
-        a2.dot(w, out=k)
-        np.subtract(b2, k, out=k)
+        multiply(k, half, w)
+        add(ell, w, w)
+        add(k, k, k)
+        add(k_sum, k, k_sum)
+        exp(w, e3)
+        multiply(x0_cols, e3, w)
+        a2.dot(w, k)
+        subtract(b2, k, k)
         # k4, once 2 k3 is in the sum
-        np.multiply(k, full, out=w)
-        np.add(ell, w, out=w)
-        np.add(k, k, out=k)
-        np.add(k_sum, k, out=k_sum)
-        np.exp(w, out=e4)
-        np.multiply(x0_cols, e4, out=w)
-        a4.dot(w, out=k)
-        np.subtract(b4, k, out=k)
-        np.add(k_sum, k, out=k_sum)
+        multiply(k, full, w)
+        add(ell, w, w)
+        add(k, k, k)
+        add(k_sum, k, k_sum)
+        exp(w, e4)
+        multiply(x0_cols, e4, w)
+        a4.dot(w, k)
+        subtract(b4, k, k)
+        add(k_sum, k, k_sum)
         if tangent:
             # p1 + p4 is summed in p1 and p2 + p3 in p23
             tangent_stage(a1, e1, p1)
             tangent_stage(a2, e2, p23, p1, half)
             tangent_stage(a2, e3, p, p23, half)
-            np.add(p23, p, out=p23)
+            add(p23, p, p23)
             tangent_stage(a4, e4, p, p, full)
-            np.add(p1, p, out=p1)
-            np.add(p23, p23, out=p23)
-            np.add(p1, p23, out=p1)
-            np.multiply(p1, sixth, out=p1)
-            np.subtract(d_ell, p1, out=d_ell)
-        np.multiply(k_sum, sixth, out=k_sum)
-        np.add(ell, k_sum, out=ell)
+            add(p1, p, p1)
+            add(p23, p23, p23)
+            add(p1, p23, p1)
+            multiply(p1, sixth, p1)
+            subtract(d_ell, p1, d_ell)
+        multiply(k_sum, sixth, k_sum)
+        add(ell, k_sum, ell)
         if check_each_step and not np.all(np.isfinite(ell)):
             t = t0 + step * h + h
             raise IntegrationError(f"integration lost finiteness at t = {t:.6f}", time=t)

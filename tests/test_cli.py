@@ -95,6 +95,70 @@ def test_usage_errors_exit_64_with_one_line(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "x0, message",
+    [
+        ("0.3,abc", "cannot parse --x0 '0.3,abc': could not convert string to float: 'abc'"),
+        ("-1,0.4", "--x0 coordinates must be nonnegative"),
+    ],
+)
+def test_an_unusable_x0_is_a_usage_error(x0, message, tmp_path, capsys):
+    argv = ["simulate", "--model", model("may2"), f"--x0={x0}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+MAY2 = {"type": "may_oster", "n": 2, "B": [0.5, 0.4], "A": [[1.0, 0.2], [0.3, 1.0]]}
+FOURIER2 = {"B": [1.0, 0.8], "A": [[1.0, 0.3], [0.2, 1.1]]}
+
+
+def periodic_with(**fourier):
+    """A two-species periodic model whose 'fourier' block has ``fourier`` replaced."""
+    return {"type": "periodic_lv", "n": 2, "fourier": {**FOURIER2, **fourier}}
+
+
+@pytest.mark.parametrize(
+    "description, message",
+    [
+        ([MAY2], "model description must be a JSON object"),
+        ({"n": 2, "B": [0.5, 0.4], "A": MAY2["A"]}, "missing field 'type'"),
+        ({**MAY2, "n": 0}, "field 'n' must be an integer >= 1"),
+        ({**MAY2, "A": [[1.0, 0.2]]}, "field 'A' must be a list of n rows of n numbers, n = 2"),
+        ({"type": "periodic_lv", "n": 2}, "missing field 'fourier'"),
+        (
+            {"type": "periodic_lv", "n": 2, "fourier": [1.0]},
+            "field 'fourier' must be an object with 'B' and 'A'",
+        ),
+        (periodic_with(C=[1.0]), "unknown field 'C' inside 'fourier'"),
+        (
+            {"type": "periodic_lv", "n": 2, "fourier": {"A": FOURIER2["A"]}},
+            "'fourier' must contain both 'B' and 'A'",
+        ),
+        (
+            {"type": "periodic_lv", "n": 2, "fourier": {"B": FOURIER2["B"]}},
+            "'fourier' must contain both 'B' and 'A'",
+        ),
+        (periodic_with(B=[1.0]), "'fourier.B' must be a list of 2 coefficient entries"),
+        (
+            periodic_with(A=[[1.0, 0.3]]),
+            "'fourier.A' must be a list of n rows of n coefficient entries, n = 2",
+        ),
+        (periodic_with(A=[[1.0, 0.3], [0.2]]), "'fourier.A[2]' must be a list of 2 entries"),
+        (
+            periodic_with(A=[[1.0, "0.3"], [0.2, 1.1]]),
+            "fourier.A[1][2] must be a number or an object with 'const'",
+        ),
+    ],
+)
+def test_a_malformed_model_file_is_a_usage_error(description, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(description))
+    assert main(["check", "--model", str(path), "--out", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_simulate_on_a_closed_form_writes_the_orbit_of_the_map(tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     argv = ["simulate", "--model", model("may2"), "--x0", "0.1,0.2", "--steps", "3"]

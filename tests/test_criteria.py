@@ -406,6 +406,14 @@ class TestFamilyCriteria:
         res = family_criterion(LeslieGowerModel([0.9], [[1.0]]))
         assert res.verdict == "fail"
 
+    def test_leslie_gower_above_the_bound_is_undetermined(self):
+        # C_i = 2 >= 1 + A_ii / sum_j A_ij = 1.5: the sufficient criterion fails
+        res = family_criterion(LeslieGowerModel([2, 2], [[1, 1], [1, 1]]))
+        assert res.verdict == "fail"
+        assert res.worst == -0.5
+        assert np.array_equal(res.witness["upper_bounds"], [1.5, 1.5])
+        assert res.note == "sufficient criterion not met; existence undetermined"
+
     def test_neural_gain_bound(self, neural2):
         res = family_criterion(neural2)
         assert res.verdict == "pass"
@@ -445,6 +453,27 @@ class TestFullReport:
         assert conditions["Eq4"].note == "requires axial fixed points"
         assert conditions["InvPos"].seed is None
         assert conditions["C4"].verdict == "fail"
+
+    def test_an_axial_fixed_point_that_fails_verification_is_refused(self):
+        # q moved off the fixed point by 1e-6 relative: T(q e_1) misses q e_1
+        class OffAxis(MayOsterModel):
+            def axial_fixed_points(self):
+                return super().axial_fixed_points() * (1.0 + 1e-6)
+
+        message = "axial fixed point q_1 fails T(q e_i) = q e_i (residual 2.500e-07)"
+        model = OffAxis([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]])
+        with pytest.raises(ModelEvaluationError) as refused:
+            model.verified_axial_fixed_points()
+        assert str(refused.value) == message and refused.value.index == 1
+        conditions = by_id(run_criteria(model, grid_resolution=4, samples=50, seed=42))
+        assert conditions["C0"].verdict == "pass"
+        assert conditions["C4"].verdict == "fail"
+        assert conditions["C4"].witness == message
+        assert conditions["C4"].note == "no axial fixed point"
+        for cond_id in ("C1", "C2", "C3", "C5", "Eq3a", "Eq3b", "Eq4", "InvPos"):
+            assert conditions[cond_id].verdict == "inconclusive", cond_id
+            assert conditions[cond_id].note == "requires axial fixed points", cond_id
+        assert conditions["Model"].verdict == "pass"
 
     def test_report_serialization_roundtrip(self, may2):
         import json

@@ -162,6 +162,34 @@ class TestPoincareMap:
             tracemalloc.stop()
         assert peak < 1.1 * 193 * 20 * 64
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_pass_peaks_at_a_fixed_multiple_of_its_batch(self, n):
+        # in floats, growth peaks at 9 n N and the tangent pass at
+        # 8 n^2 N + 12 n N, with what each returns (a little less at n = 1,
+        # where l and D come back without a transposing copy); a multiple
+        # that moved with N would show an allocation not proportional to the
+        # batch, such as one per step
+        system = random_competitive_system(np.random.default_rng(n), n)
+        model = PoincareMapModel(system, IntegrationConfig(64))
+        rng = np.random.default_rng(10 + n)
+        passes = (
+            (model.growth, n, 9.0),
+            (model.growth_and_jacobian, n * n, 8.0 + 12.0 / n),
+        )
+        for evaluate, width, bound in passes:
+            multiples = []
+            for rows in (4_000, 16_000):
+                x = rng.random((rows, n))
+                tracemalloc.start()
+                try:
+                    evaluate(x)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                multiples.append(peak / (8 * width * rows))
+            assert abs(multiples[0] - multiples[1]) < 0.25, (evaluate.__name__, multiples)
+            assert multiples[1] < bound + 0.1, (evaluate.__name__, multiples)
+
     def test_growth_jacobian_of_the_logistic_matches_the_time_one_map(self):
         # u' = u (b - a u) maps x to x e^b / (1 + c x), c = a (e^b - 1) / b, so
         # G'(x) = -c e^b / (1 + c x)^2; RK4's error falls 16x per halved step
