@@ -637,7 +637,9 @@ def family_criterion(model: CompetitionModel) -> ConditionResult:
     """Closed-form sufficient criterion for the three explicit families.
 
     May-Oster additionally gets the axis-based non-existence test, giving a
-    three-way exists / not-exists / indeterminate verdict.
+    three-way exists / not-exists / indeterminate verdict: for B_i > 2 the
+    axis fixed point q_i e_i is unstable along its axis, which the carrying
+    simplex would have to attract, so no carrying simplex exists.
     """
     if isinstance(model, MayOsterModel):
         q = model.axial_fixed_points()
@@ -650,14 +652,18 @@ def family_criterion(model: CompetitionModel) -> ConditionResult:
                 "Model", "pass", worst=worst, witness=witness,
                 note="unique carrying simplex guaranteed",
             )
-        if row_values.max() > 2.0 or col_values.max() > 2.0:
+        # q_i A_ii = B_i: only the diagonal enters the axis map
+        i = int(np.argmax(model.B))
+        if model.B[i] > 2.0:
+            b_i = float(model.B[i])
             return ConditionResult(
-                "Model", "fail", worst=worst, witness=witness,
-                note="no carrying simplex (axis criterion exceeded)",
+                "Model", "fail", worst=b_i, witness={"i": i + 1, "B_i": b_i},
+                note="no carrying simplex: the axis map x e^(B_i - A_ii x) has slope "
+                "1 - B_i < -1 at q_i, so q_i e_i does not attract its axis",
             )
         return ConditionResult(
             "Model", "inconclusive", worst=worst, witness=witness,
-            note="between the existence and non-existence thresholds",
+            note="sufficient criterion not met and no axis is unstable; existence undetermined",
         )
     if isinstance(model, LeslieGowerModel):
         if np.any(model.C <= 1.0):

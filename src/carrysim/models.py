@@ -24,11 +24,8 @@ class ModelParameterError(ValueError):
 
 
 class ModelEvaluationError(RuntimeError):
-    """Growth evaluation produced NaN/inf; carries the offending 1-based index."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """A model evaluation failed: a non-finite growth factor or state, or an
+    axial fixed point that fails verification."""
 
 
 def as_state(x, n: int) -> np.ndarray:
@@ -109,9 +106,7 @@ class CompetitionModel:
         bad = ~np.isfinite(g)
         if np.any(bad):
             idx = int(np.argwhere(bad)[0][-1])
-            raise ModelEvaluationError(
-                f"growth factor G_{idx + 1} is not finite", index=idx + 1
-            )
+            raise ModelEvaluationError(f"growth factor G_{idx + 1} is not finite")
         return x * g
 
     def axis_step(self, axis, values) -> np.ndarray:
@@ -145,8 +140,7 @@ class CompetitionModel:
             i = int(bad[0])
             raise ModelEvaluationError(
                 f"axial fixed point q_{i + 1} fails T(q e_i) = q e_i "
-                f"(residual {residual[i]:.3e})",
-                index=i + 1,
+                f"(residual {residual[i]:.3e})"
             )
         q.setflags(write=False)
         self._verified_q = q

@@ -34,14 +34,6 @@ from .criteria import ConditionResult
 from .models import CompetitionModel, ModelEvaluationError, ModelParameterError, as_state
 
 
-class IntegrationError(ModelEvaluationError):
-    """Integration produced a non-finite state; carries the time stamp."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
-
-
 @dataclass(frozen=True)
 class FourierSeries:
     """Period-1 trigonometric polynomial c + sum_k (a_k cos + b_k sin)(2 pi k t)."""
@@ -188,7 +180,7 @@ def _stage_table(system: PeriodicLVSystem, t_span, config: IntegrationConfig):
     return t0, h, b[..., None], a
 
 
-# an overflow shows up as a non-finite l, which is raised as IntegrationError
+# an overflow shows up as a non-finite l, which is raised as ModelEvaluationError
 @np.errstate(over="ignore", invalid="ignore")
 def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangent=False):
     """RK4 on dl/dt = B(t) - A(t) (x0 * exp(l)) over a ``_stage_table``; returns
@@ -302,7 +294,7 @@ def _log_gain(table, x0: np.ndarray, record=False, check_each_step=False, tangen
         add(ell, k_sum, ell)
         if check_each_step and not np.all(np.isfinite(ell)):
             t = t0 + step * h + h
-            raise IntegrationError(f"integration lost finiteness at t = {t:.6f}", time=t)
+            raise ModelEvaluationError(f"integration lost finiteness at t = {t:.6f}")
         if record:
             path[step + 1] = ell
     # l only ever has an increment added, and a sum with a non-finite term is
@@ -477,7 +469,7 @@ class PoincareMapModel(CompetitionModel):
 # ---------------------------------------------------------------------------
 
 
-A_TIME_SAMPLES = 1024  # uniform times per period at which A1-A4 are checked
+A_TIME_SAMPLES = 1024  # uniform times per period at which A1-A4 are sampled
 
 
 def check_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
@@ -489,93 +481,66 @@ def check_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
     populations with the explicit per-species threshold, A4 increase of
     small populations (B_i > 0).
 
-    Each condition is first tried by ``coefficient_bounds``: a lower bound
-    >= 0 (A1) or > 0 (A2, A4) proves it for all t, a ``pass`` with the bound
-    as ``worst``, and A3's threshold is max(upper B_i, 0) / lower A_ii once
-    every lower A_ii is > 0.  A condition the bounds cannot prove is sampled
-    at ``A_TIME_SAMPLES`` times, as ``_sampled_a_conditions`` does.
+    One rule per condition: ``pass`` when ``coefficient_bounds`` proves it
+    for all t, a lower bound >= 0 (A1) or > 0 (A2, A4) with the bound as
+    ``worst``, and for A3 a lower A_ii > 0 with the threshold max(upper B_i,
+    0) / lower A_ii; else ``pass_sampled`` when the same test holds at
+    ``A_TIME_SAMPLES`` uniform times; else ``fail``, witnessed by the time
+    and the 1-based indices of the first smallest sampled value.  The
+    coefficients are sampled at most once, and only when some bound fails.
     """
     (b_lower, b_upper), (a_lower, _) = system.coefficient_bounds()
-    diag_lower = np.diagonal(a_lower)
-
-    def proved(cond_id: str, bound: np.ndarray, strict: bool, claim: str):
-        worst = float(bound.min())
-        if worst > 0.0 or (worst == 0.0 and not strict):
-            note = f"{claim} for all t by the Fourier bound {FOURIER_BOUND}: lowest {worst:.6g}"
-            return ConditionResult(cond_id, "pass", worst=worst, note=note)
-        return None
-
-    a3 = None
-    if diag_lower.min() > 0.0:
-        thresholds = np.maximum(b_upper, 0.0) / diag_lower
-        a3 = ConditionResult(
-            "A3",
-            "pass",
-            worst=float(thresholds.max()),
-            witness={"thresholds": thresholds.tolist()},
-            note="G_i(t, x) < 0 for all t once x_i exceeds the reported threshold, "
-            f"max(upper B_i, 0) / lower A_ii by the Fourier bound {FOURIER_BOUND}",
-        )
-    records = [
-        proved("A1", a_lower, False, "A_ij(t) >= 0"),
-        proved("A2", diag_lower, True, "A_ii(t) > 0"),
-        a3,
-        proved("A4", b_lower, True, "B_i(t) > 0"),
-    ]
-    if all(records):
-        return records
-    return [r or s for r, s in zip(records, _sampled_a_conditions(system))]
-
-
-def _sampled_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
-    """A1-A4 on ``A_TIME_SAMPLES`` uniform times per period, ``pass_sampled``
-    when they hold there."""
     t = np.arange(A_TIME_SAMPLES) / A_TIME_SAMPLES
-    b, a = system.coefficients_at(t)
-    diag = np.diagonal(a, axis1=1, axis2=2)  # (T, n)
-
-    def first_smallest(values: np.ndarray) -> dict:
-        """The time and the 1-based indices of the first smallest value."""
-        k, *idx = np.unravel_index(int(np.argmin(values)), values.shape)
-        return {"t": float(t[k]), **{name: int(v) + 1 for name, v in zip("ij", idx)}}
-
-    def sign_check(cond_id: str, values: np.ndarray, strict: bool, note: str):
-        """Every sampled value >= 0 (> 0 if ``strict``); a fail names the first
-        smallest value."""
-        worst = float(values.min())
-        if worst > 0.0 or (worst == 0.0 and not strict):
-            return ConditionResult(cond_id, "pass_sampled", worst=worst, samples=A_TIME_SAMPLES)
-        witness = first_smallest(values)
-        return ConditionResult(
-            cond_id, "fail", worst=worst, witness=witness, samples=A_TIME_SAMPLES, note=note
-        )
-
-    min_diag = float(diag.min())
-    if min_diag > 0.0:
-        thresholds = np.maximum(b.max(axis=0), 0.0) / diag.min(axis=0)
-        a3 = ConditionResult(
-            "A3",
-            "pass_sampled",
-            worst=float(thresholds.max()),
-            witness={"thresholds": thresholds.tolist()},
-            samples=A_TIME_SAMPLES,
-            note="G_i(t, x) < 0 once x_i exceeds the reported threshold",
-        )
-    else:
-        a3 = ConditionResult(
-            "A3",
-            "fail",
-            worst=min_diag,
-            witness=first_smallest(diag),
-            samples=A_TIME_SAMPLES,
-            note="no finite threshold: self-competition is not positive",
-        )
-    return [
-        sign_check("A1", a, False, "an interaction coefficient goes negative"),
-        sign_check("A2", diag, True, "self-competition vanishes for a singleton support"),
-        a3,
-        sign_check("A4", b, True, "a per-capita gain dips to zero or below"),
-    ]
+    diag_lower = np.diagonal(a_lower)
+    # per verdict, the values of B, A and A_ii that the conditions test, and
+    # A3's upper B_i and lower A_ii per species; the samples are taken on need
+    sources = {"pass": (b_lower, a_lower, diag_lower, b_upper, diag_lower)}
+    records = []
+    for cond_id, strict, pick, claim, failure in (  # pick: (B, A, A_ii) -> values
+        ("A1", False, lambda b, a, d: a, "A_ij(t) >= 0",
+         "an interaction coefficient goes negative"),
+        ("A2", True, lambda b, a, d: d, "A_ii(t) > 0",
+         "self-competition vanishes for a singleton support"),
+        ("A3", True, lambda b, a, d: d, None,
+         "no finite threshold: self-competition is not positive"),
+        ("A4", True, lambda b, a, d: b, "B_i(t) > 0",
+         "a per-capita gain dips to zero or below"),
+    ):  # fmt: skip
+        for verdict in ("pass", "pass_sampled"):
+            if verdict not in sources:
+                b, a = system.coefficients_at(t)
+                diag = np.diagonal(a, axis1=1, axis2=2)
+                sources[verdict] = b, a, diag, b.max(axis=0), diag.min(axis=0)
+            b, a, diag, b_upper_i, diag_lower_i = sources[verdict]
+            values = pick(b, a, diag)
+            worst = float(values.min())
+            if worst > 0.0 or (worst == 0.0 and not strict):
+                break
+        else:
+            k, *idx = np.unravel_index(int(np.argmin(values)), values.shape)
+            witness = {"t": float(t[k]), **{name: int(v) + 1 for name, v in zip("ij", idx)}}
+            records.append(
+                ConditionResult(cond_id, "fail", worst, witness, A_TIME_SAMPLES, note=failure)
+            )
+            continue
+        proved = verdict == "pass"
+        record = ConditionResult(cond_id, verdict, worst, samples=0 if proved else A_TIME_SAMPLES)
+        if cond_id == "A3":
+            thresholds = np.maximum(b_upper_i, 0.0) / diag_lower_i
+            record.worst = float(thresholds.max())
+            record.witness = {"thresholds": thresholds.tolist()}
+            record.note = (
+                "G_i(t, x) < 0 for all t once x_i exceeds the reported threshold, "
+                f"max(upper B_i, 0) / lower A_ii by the Fourier bound {FOURIER_BOUND}"
+                if proved
+                else "G_i(t, x) < 0 once x_i exceeds the reported threshold"
+            )
+        elif proved:
+            record.note = (
+                f"{claim} for all t by the Fourier bound {FOURIER_BOUND}: lowest {worst:.6g}"
+            )
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,17 @@ from carrysim.modelio import load_model_file
 from carrysim.models import (
     LeslieGowerModel,
     MayOsterModel,
+    ModelEvaluationError,
     ModelParameterError,
     NeuralNetModel,
     _reduce_columns,
     as_state,
 )
 from carrysim.periodic import (
+    A_TIME_SAMPLES,
+    FOURIER_BOUND,
     FourierSeries,
     IntegrationConfig,
-    IntegrationError,
     PeriodicLVSystem,
     PoincareMapModel,
     integrate,
@@ -1196,9 +1198,7 @@ def reference_log_gain(system, x0, t_span, config, record=False):
         k4 = per_capita(t + h, x0 * np.exp(ell + h * k3))
         ell = ell + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(ell)):
-            raise IntegrationError(
-                f"integration lost finiteness at t = {t + h:.6f}", time=t + h
-            )
+            raise ModelEvaluationError(f"integration lost finiteness at t = {t + h:.6f}")
         path.append(ell.copy())
     if record:
         return ell, t0 + h * np.arange(steps + 1), np.array(path)
@@ -1313,18 +1313,182 @@ def test_integrate_matches_per_stage_rk4_off_the_period_grid():
 def test_blow_up_is_raised_at_the_per_stage_time():
     config = IntegrationConfig(64)
     x = np.array([[0.3, 0.2], [1.0, 0.0], [0.0, 0.5]])
-    with pytest.raises(IntegrationError) as expected:
+    with pytest.raises(ModelEvaluationError) as expected:
         reference_log_gain(DIVERGENT, x, (0.0, 1.0), config)
-    with pytest.raises(IntegrationError) as tabulated:
+    with pytest.raises(ModelEvaluationError) as tabulated:
         PoincareMapModel(DIVERGENT, config).growth(x)
     assert str(tabulated.value) == str(expected.value)
-    assert tabulated.value.time == expected.value.time
-    with pytest.raises(IntegrationError) as expected:
+    with pytest.raises(ModelEvaluationError) as expected:
         reference_log_gain(DIVERGENT, x[1], (0.3, 2.1), config, record=True)
-    with pytest.raises(IntegrationError) as tabulated:
+    with pytest.raises(ModelEvaluationError) as tabulated:
         integrate(DIVERGENT, x[1], (0.3, 2.1), config)
     assert str(tabulated.value) == str(expected.value)
-    assert tabulated.value.time == expected.value.time
+
+
+# ---------------------------------------------------------------------------
+# A1-A4: the one pass against the two-pass check it replaced, which proved
+# what the Fourier bounds could and sampled every condition again when one
+# could not
+# ---------------------------------------------------------------------------
+
+
+def reference_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
+    """Competitive-structure conditions of the periodic LV form for all t.
+
+    A1 total competition (A_ij >= 0), A2 strong self-competition (diagonal
+    sums over any support stay positive; singleton supports are the binding
+    case, so the diagonal itself must be positive), A3 decrease of large
+    populations with the explicit per-species threshold, A4 increase of
+    small populations (B_i > 0).
+
+    Each condition is first tried by ``coefficient_bounds``: a lower bound
+    >= 0 (A1) or > 0 (A2, A4) proves it for all t, a ``pass`` with the bound
+    as ``worst``, and A3's threshold is max(upper B_i, 0) / lower A_ii once
+    every lower A_ii is > 0.  A condition the bounds cannot prove is sampled
+    at ``A_TIME_SAMPLES`` times, as ``reference_sampled_a_conditions`` does.
+    """
+    (b_lower, b_upper), (a_lower, _) = system.coefficient_bounds()
+    diag_lower = np.diagonal(a_lower)
+
+    def proved(cond_id: str, bound: np.ndarray, strict: bool, claim: str):
+        worst = float(bound.min())
+        if worst > 0.0 or (worst == 0.0 and not strict):
+            note = f"{claim} for all t by the Fourier bound {FOURIER_BOUND}: lowest {worst:.6g}"
+            return ConditionResult(cond_id, "pass", worst=worst, note=note)
+        return None
+
+    a3 = None
+    if diag_lower.min() > 0.0:
+        thresholds = np.maximum(b_upper, 0.0) / diag_lower
+        a3 = ConditionResult(
+            "A3",
+            "pass",
+            worst=float(thresholds.max()),
+            witness={"thresholds": thresholds.tolist()},
+            note="G_i(t, x) < 0 for all t once x_i exceeds the reported threshold, "
+            f"max(upper B_i, 0) / lower A_ii by the Fourier bound {FOURIER_BOUND}",
+        )
+    records = [
+        proved("A1", a_lower, False, "A_ij(t) >= 0"),
+        proved("A2", diag_lower, True, "A_ii(t) > 0"),
+        a3,
+        proved("A4", b_lower, True, "B_i(t) > 0"),
+    ]
+    if all(records):
+        return records
+    return [r or s for r, s in zip(records, reference_sampled_a_conditions(system))]
+
+
+def reference_sampled_a_conditions(system: PeriodicLVSystem) -> list[ConditionResult]:
+    """A1-A4 on ``A_TIME_SAMPLES`` uniform times per period, ``pass_sampled``
+    when they hold there."""
+    t = np.arange(A_TIME_SAMPLES) / A_TIME_SAMPLES
+    b, a = system.coefficients_at(t)
+    diag = np.diagonal(a, axis1=1, axis2=2)  # (T, n)
+
+    def first_smallest(values: np.ndarray) -> dict:
+        """The time and the 1-based indices of the first smallest value."""
+        k, *idx = np.unravel_index(int(np.argmin(values)), values.shape)
+        return {"t": float(t[k]), **{name: int(v) + 1 for name, v in zip("ij", idx)}}
+
+    def sign_check(cond_id: str, values: np.ndarray, strict: bool, note: str):
+        """Every sampled value >= 0 (> 0 if ``strict``); a fail names the first
+        smallest value."""
+        worst = float(values.min())
+        if worst > 0.0 or (worst == 0.0 and not strict):
+            return ConditionResult(cond_id, "pass_sampled", worst=worst, samples=A_TIME_SAMPLES)
+        witness = first_smallest(values)
+        return ConditionResult(
+            cond_id, "fail", worst=worst, witness=witness, samples=A_TIME_SAMPLES, note=note
+        )
+
+    min_diag = float(diag.min())
+    if min_diag > 0.0:
+        thresholds = np.maximum(b.max(axis=0), 0.0) / diag.min(axis=0)
+        a3 = ConditionResult(
+            "A3",
+            "pass_sampled",
+            worst=float(thresholds.max()),
+            witness={"thresholds": thresholds.tolist()},
+            samples=A_TIME_SAMPLES,
+            note="G_i(t, x) < 0 once x_i exceeds the reported threshold",
+        )
+    else:
+        a3 = ConditionResult(
+            "A3",
+            "fail",
+            worst=min_diag,
+            witness=first_smallest(diag),
+            samples=A_TIME_SAMPLES,
+            note="no finite threshold: self-competition is not positive",
+        )
+    return [
+        sign_check("A1", a, False, "an interaction coefficient goes negative"),
+        sign_check("A2", diag, True, "self-competition vanishes for a singleton support"),
+        a3,
+        sign_check("A4", b, True, "a per-capita gain dips to zero or below"),
+    ]
+
+
+def random_a_system(rng):
+    """n = 1-3, up to 2 harmonics of up to half the constant each, so that a
+    bound below 0 may still leave every sample positive; one system in ten
+    has A_11 = 0."""
+    n, K = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+
+    def series(c):
+        cos, sin = rng.uniform(-0.5, 0.5, K) * c, rng.uniform(-0.5, 0.5, K) * c
+        return FourierSeries(c, cos=cos, sin=sin)
+
+    B = [series(rng.uniform(0.3, 1.0)) for _ in range(n)]
+    A = [
+        [series(rng.uniform(0.3, 1.0) if i == j else rng.uniform(0.0, 0.5)) for j in range(n)]
+        for i in range(n)
+    ]
+    if rng.random() < 0.1:
+        A[0][0] = FourierSeries(0.0)
+    return PeriodicLVSystem(B, A)
+
+
+def test_a_conditions_match_the_two_pass_reference():
+    rng = np.random.default_rng(31)
+    reached = set()
+    for _ in range(400):
+        system = random_a_system(rng)
+        records = [r.to_record() for r in periodic.check_a_conditions(system)]
+        assert records == [r.to_record() for r in reference_a_conditions(system)]
+        reached.update((r["id"], r["verdict"]) for r in records)
+    verdicts = ("pass", "pass_sampled", "fail")
+    assert reached == set(itertools.product(("A1", "A2", "A3", "A4"), verdicts))
+
+
+def _coefficient_calls(system, monkeypatch):
+    calls = []
+    original = system.coefficients_at
+    monkeypatch.setattr(system, "coefficients_at", lambda t: calls.append(t) or original(t))
+    periodic.check_a_conditions(system)
+    return len(calls)
+
+
+def test_a_conditions_sample_once_and_only_when_a_bound_fails(vlper2, monkeypatch):
+    assert _coefficient_calls(vlper2, monkeypatch) == 0
+    loaded = load_model_file(MODELS / "periodic_lv2.json")
+    assert _coefficient_calls(loaded.system, monkeypatch) == 0
+    # A_12 = 0.1 + 0.3 cos fails its bound and its samples; the rest is proved
+    one_fails = PeriodicLVSystem(
+        [FourierSeries(1.0), FourierSeries(1.0)],
+        [[1.0, FourierSeries(0.1, cos=(0.3,))], [0.2, 1.0]],
+    )
+    assert _coefficient_calls(one_fails, monkeypatch) == 1
+    # A_22 = 0.3 + 0.2 cos + 0.2 cos 2 has the bound -0.1 and stays positive:
+    # A1, A2 and A3 are sampled, all from one call
+    two_sampled = PeriodicLVSystem(
+        [FourierSeries(1.0), FourierSeries(1.0)],
+        [[1.0, 0.1], [0.2, FourierSeries(0.3, cos=(0.2, 0.2))]],
+    )
+    verdicts = [r.verdict for r in periodic.check_a_conditions(two_sampled)]
+    assert verdicts == ["pass_sampled"] * 3 + ["pass"]
+    assert _coefficient_calls(two_sampled, monkeypatch) == 1
 
 
 # ---------------------------------------------------------------------------

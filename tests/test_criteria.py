@@ -393,6 +393,21 @@ class TestFamilyCriteria:
         assert res.worst == pytest.approx(3.0, abs=1e-12)
         assert "no carrying simplex" in res.note
 
+    def test_may_unstable_axis_refutes(self):
+        # B_1 = 2.2: the axis map's slope at q_1 is 1 - 2.2 < -1
+        res = family_criterion(MayOsterModel([2.2, 0.5], [[1.0, 0.1], [0.1, 1.0]]))
+        assert (res.verdict, res.worst) == ("fail", 2.2)
+        assert res.witness == {"i": 1, "B_i": 2.2}
+        assert res.note.startswith("no carrying simplex: the axis map")
+
+    def test_may_row_values_above_two_do_not_refute(self):
+        # row value q_1 (A_11 + A_12) = 1.25 * 1.99 = 2.4875 > 2, yet both axes
+        # are stable (B_i <= 2): the off-diagonal A_ij do not enter an axis map
+        res = family_criterion(MayOsterModel([1.25, 1.28], [[1, 0.99], [0.9, 1]]))
+        assert res.verdict == "inconclusive"
+        assert res.worst == pytest.approx(2.4875, abs=1e-12)
+        assert "existence undetermined" in res.note
+
     def test_may_indeterminate(self):
         res = family_criterion(MayOsterModel([1.5], [[1.0]]))
         assert res.verdict == "inconclusive"
@@ -464,7 +479,7 @@ class TestFullReport:
         model = OffAxis([0.5, 0.4], [[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ModelEvaluationError) as refused:
             model.verified_axial_fixed_points()
-        assert str(refused.value) == message and refused.value.index == 1
+        assert str(refused.value) == message
         conditions = by_id(run_criteria(model, grid_resolution=4, samples=50, seed=42))
         assert conditions["C0"].verdict == "pass"
         assert conditions["C4"].verdict == "fail"

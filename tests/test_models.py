@@ -189,7 +189,7 @@ class TestSharedBehavior:
         with np.errstate(over="ignore"):
             with pytest.raises(ModelEvaluationError) as err:
                 may2.step(np.array([[-1000.0, 0.0]]))
-        assert err.value.index == 1
+        assert str(err.value) == "growth factor G_1 is not finite"
 
 
 def test_batched_and_single_evaluations_agree(may2):

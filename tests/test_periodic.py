@@ -13,13 +13,13 @@ from carrysim.periodic import (
     PeriodicLVSystem,
     PoincareMapModel,
     _gauss_legendre,
-    _sampled_a_conditions,
     check_a_conditions,
     integrate,
     wang_jiang_check,
 )
 
 from conftest import random_competitive_system, richardson_growth_jacobian
+from test_batch_equivalence import reference_a_conditions, reference_sampled_a_conditions
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -361,9 +361,12 @@ class TestAConditions:
         # A_22 = 0.3 + 0.2 cos + 0.2 cos 2: the bound is -0.1, the minimum 0.075
         system = periodic_lv2_with(FourierSeries(0.3, cos=(0.2, 0.2)))
         records = check_a_conditions(system)
-        sampled = _sampled_a_conditions(system)
+        sampled = reference_sampled_a_conditions(system)
         assert [r.verdict for r in records] == ["pass_sampled"] * 3 + ["pass"]
         assert [r.to_record() for r in records[:3]] == [r.to_record() for r in sampled[:3]]
+        assert [r.to_record() for r in records] == [
+            r.to_record() for r in reference_a_conditions(system)
+        ]
         assert records[0].worst == pytest.approx(0.075, abs=1e-6)
 
     def test_negative_interaction_caught(self):
